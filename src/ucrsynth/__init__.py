@@ -6,7 +6,6 @@ reported global phase. Ships a dense statevector simulator for
 verification and a CLI (``ucrsynth``) wrapping the pipeline.
 """
 
-from ._backend import BACKEND
 from .angles import AngleSchedule, NormTree, angle_schedule, norm_tree, y_angles, z_angles
 from .circuit import (
     AXIS_Y,
@@ -60,7 +59,6 @@ __all__ = [
     "AXIS_Z",
     "AngleSchedule",
     "Axis",
-    "BACKEND",
     "BoundReport",
     "Circuit",
     "Cnot",

@@ -26,6 +26,8 @@ class Axis:
     az: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.ay) and math.isfinite(self.az)):
+            raise ValueError(f"axis ({self.ay}, {self.az}) is not finite")
         if abs(self.ay * self.ay + self.az * self.az - 1.0) > AXIS_ATOL:
             raise ValueError(f"axis ({self.ay}, {self.az}) is not unit length")
 

@@ -1,21 +1,32 @@
 """Dense statevector simulation: the verification oracle for everything else.
 
-Public operations have value semantics (state in, new state out); the
-in-place work happens on private copies via the kernel backend selected in
-``_backend``. Qubit q of an n-qubit register lives at bit position n - q of
-the amplitude index.
+Public operations have value semantics (state in, new state out) and work
+on private copies. Qubit q of an n-qubit register lives at bit position
+n - q of the amplitude index, which is axis q - 1 of the amplitudes
+reshaped to (2,) * n.
+
+``apply_circuit`` and ``circuit_unitary`` are run-fused. A maximal run of
+consecutive gates into one target qubit t (CNOTs into t, rotations on t
+about one axis) acts on each control pattern p as X**s(p) R_axis(phi(p)),
+because X R_a(theta) X = R_a(-theta) for every y-z axis. phi is the
+Walsh-Hadamard transform of the run's rotation angles bucketed by the
+CNOT-control mask in force at each rotation, and s(p) is the parity of p
+against the mask at the end of the run: the UCR ladder identity read
+backwards. A run costs one transform and one pass over the amplitudes,
+for any gate list. ``apply_gate`` applies one gate by its 2x2 matrix and
+is the per-gate oracle the fused pass is tested against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._backend import BACKEND, cnot as _cnot, rot as _rot
-from .circuit import Circuit, Cnot, Gate, Rot, UcrGate, rot_matrix
+from .circuit import Axis, Circuit, Cnot, Gate, UcrGate, rot_matrix
 from .errors import DimensionError
+from .gray import _fwht
 from .state import StateVector
 
-__all__ = ["BACKEND", "apply_gate", "apply_circuit", "apply_ucr", "circuit_unitary"]
+__all__ = ["apply_gate", "apply_circuit", "apply_ucr", "circuit_unitary"]
 
 
 def _check_qubits(n: int, *qubits: int) -> None:
@@ -24,33 +35,115 @@ def _check_qubits(n: int, *qubits: int) -> None:
             raise DimensionError(f"qubit {q} out of range for an {n}-qubit register")
 
 
-def _apply_inplace(amps: np.ndarray, gates, n: int, shift: int = 0) -> None:
-    """Run gates over amps; `shift` offsets every bit position (unitary trick)."""
+def _rot(amps: np.ndarray, t_pos: int, r00, r01, r10, r11) -> None:
+    """Apply a 2x2 matrix to the qubit at bit position t_pos, in place."""
+    view = amps.reshape(-1, 2, 1 << t_pos)
+    a0 = view[:, 0].copy()
+    a1 = view[:, 1]
+    view[:, 0] = r00 * a0 + r01 * a1
+    view[:, 1] = r10 * a0 + r11 * a1
+
+
+def _cnot(amps: np.ndarray, c_pos: int, t_pos: int) -> None:
+    """Swap amplitude pairs whose control bit is set, in place."""
+    lo, hi = sorted((c_pos, t_pos))
+    view = amps.reshape(-1, 2, 1 << (hi - 1 - lo), 2, 1 << lo)
+    if c_pos == hi:
+        block = view[:, 1]
+        block[:, :, [0, 1]] = block[:, :, [1, 0]]
+    else:
+        block = view[:, :, :, 1]
+        block[:, [0, 1]] = block[:, [1, 0]]
+
+
+def _apply_run(
+    view: np.ndarray,
+    target: int,
+    axis: Axis | None,
+    used: int,
+    final: int,
+    masks: list[int],
+    angles: list[float],
+) -> None:
+    """Apply one run in place; masks are bitsets of control qubit numbers.
+
+    ``used`` holds every control of the run, ``final`` the mask after its
+    last CNOT, and ``masks[j]`` the mask in force at rotation ``j``.
+    """
+    controls = [q for q in range(1, view.ndim + 1) if used >> q & 1]
+    k = len(controls)
+    raw = np.array(masks, dtype=np.int64)
+    pattern = np.zeros(raw.size, dtype=np.intp)
+    flip_mask = 0
+    for q in controls:
+        pattern = (pattern << 1) | ((raw >> q) & 1)
+        flip_mask = (flip_mask << 1) | (final >> q & 1)
+    buckets = np.bincount(pattern, weights=np.array(angles, dtype=np.float64), minlength=1 << k)
+    half = 0.5 * _fwht(buckets)
+    cos_h = np.cos(half)
+    sin_h = np.sin(half)
+    ay, az = (axis.ay, axis.az) if axis is not None else (0.0, 0.0)
+    r00 = cos_h + 1j * (az * sin_h)
+    r01 = ay * sin_h
+    rows = np.array([[r00, r01], [-r01, np.conj(r00)]])
+    flip = (np.bitwise_count(np.arange(1 << k) & flip_mask) & 1).astype(bool)
+    top = np.where(flip, rows[1], rows[0])
+    bottom = np.where(flip, rows[0], rows[1])
+    # the target axis drops out of the pair views; controls keep their order
+    shape = [1] * (view.ndim - 1)
+    for q in controls:
+        shape[q - 1 if q < target else q - 2] = 2
+    top = top.reshape(2, *shape)
+    bottom = bottom.reshape(2, *shape)
+    lead = (slice(None),) * (target - 1)
+    a0 = view[lead + (0,)]
+    a1 = view[lead + (1,)]
+    new0 = top[0] * a0 + top[1] * a1
+    view[lead + (1,)] = bottom[0] * a0 + bottom[1] * a1
+    view[lead + (0,)] = new0
+
+
+def _apply_fused(amps: np.ndarray, gates, n_bits: int) -> None:
+    """Run gates over amps (2**n_bits entries, qubit q on axis q - 1) run by run."""
+    view = amps.reshape((2,) * n_bits)
+    target, axis, used, mask, masks, angles = 0, None, 0, 0, [], []
     for g in gates:
-        if isinstance(g, Cnot):
-            _cnot(amps, n - g.control + shift, n - g.target + shift)
+        is_cnot = isinstance(g, Cnot)
+        if g.target != target or not (is_cnot or axis is None or g.axis == axis):
+            if target:
+                _apply_run(view, target, axis, used, mask, masks, angles)
+            target, axis, used, mask, masks, angles = g.target, None, 0, 0, [], []
+        if is_cnot:
+            bit = 1 << g.control
+            used |= bit
+            mask ^= bit
         else:
-            m = rot_matrix(g.axis, g.angle)
-            _rot(amps, n - g.target + shift, m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+            axis = g.axis
+            masks.append(mask)
+            angles.append(g.angle)
+    if target:
+        _apply_run(view, target, axis, used, mask, masks, angles)
 
 
 def apply_gate(x: StateVector, g: Gate) -> StateVector:
     """One elementary gate applied to a state."""
+    amps = x.amplitudes.copy()
     if isinstance(g, Cnot):
         _check_qubits(x.n, g.control, g.target)
+        _cnot(amps, x.n - g.control, x.n - g.target)
     else:
         _check_qubits(x.n, g.target)
-    amps = x.amplitudes.copy()
-    _apply_inplace(amps, (g,), x.n)
+        m = rot_matrix(g.axis, g.angle)
+        _rot(amps, x.n - g.target, m[0, 0], m[0, 1], m[1, 0], m[1, 1])
     return StateVector(x.n, amps)
 
 
 def apply_circuit(x: StateVector, c: Circuit) -> StateVector:
-    """Left fold of apply_gate in time order (gates[0] first)."""
+    """The circuit applied to a state, gates[0] first; equals the apply_gate fold."""
     if c.n != x.n:
         raise DimensionError(f"circuit is on {c.n} qubits, state on {x.n}")
     amps = x.amplitudes.copy()
-    _apply_inplace(amps, c.gates, x.n)
+    _apply_fused(amps, c.gates, x.n)
     return StateVector(x.n, amps)
 
 
@@ -87,12 +180,12 @@ def circuit_unitary(c: Circuit, *, max_qubits: int = 10) -> np.ndarray:
     """Full 2**n x 2**n matrix of a circuit, columns = images of basis states.
 
     Internally the identity matrix is flattened to a single 2**(2n) array
-    whose low n bits index the column; shifting every gate position by n
-    left-multiplies all columns in one kernel pass.
+    whose high n bits index the row, so the circuit's qubits keep their
+    axes and one fused pass left-multiplies all columns at once.
     """
     if c.n > max_qubits:
         raise ValueError(f"n={c.n} exceeds the {max_qubits}-qubit unitary cap")
     dim = 1 << c.n
     u = np.eye(dim, dtype=np.complex128)
-    _apply_inplace(u.reshape(-1), c.gates, c.n, shift=c.n)
+    _apply_fused(u.reshape(-1), c.gates, 2 * c.n)
     return u

@@ -57,6 +57,8 @@ def make_state(n: int, amplitudes, *, normalize: bool = False) -> StateVector:
         raise DimensionError(
             f"expected 2**{n} = {1 << n} amplitudes, got {amps.size}"
         )
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("amplitudes must be finite")
     sq_norm = float(np.sum(np.abs(amps) ** 2))
     if sq_norm == 0.0:
         raise ValueError("zero vector is not a valid state")

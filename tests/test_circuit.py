@@ -46,6 +46,12 @@ def test_axis_must_be_unit():
     assert (AXIS_Z.ay, AXIS_Z.az) == (0.0, 1.0)
 
 
+def test_axis_rejects_non_finite():
+    for ay, az in [(math.nan, math.nan), (math.inf, 0.0), (0.0, -math.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            Axis(ay, az)
+
+
 def test_rot_matrix_definition():
     # R_a(angle) = cos(angle/2) I + i sin(angle/2) (ay sy + az sz)
     rng = np.random.default_rng(0)

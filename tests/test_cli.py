@@ -56,6 +56,17 @@ def test_synth_parse_failure_exit_2(tmp_path, capsys):
     assert main(["synth", str(tmp_path / "nope.json"), str(good)]) == 2
 
 
+def test_non_finite_input_exit_2(tmp_path, capsys):
+    a, b = write_states(tmp_path, n=1)
+    nan_state = tmp_path / "nan.json"
+    nan_state.write_text('{"n": 1, "amplitudes": [[NaN, 0], [1, 0]]}')
+    assert main(["synth", str(nan_state), str(b)]) == 2
+    circuit = tmp_path / "c.json"
+    circuit.write_text('{"n": 1, "gates": [{"type": "rot", "axis": "z", "target": 1, "angle": Infinity}]}')
+    assert main(["verify", str(circuit), str(a), str(b)]) == 2
+    assert "gates[0].angle" in capsys.readouterr().err
+
+
 def test_synth_dimension_mismatch_exit_3(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

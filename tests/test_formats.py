@@ -13,6 +13,7 @@ from ucrsynth import (
     ExportError,
     ParseError,
     Rot,
+    StateVector,
     disentangle,
     dump_circuit,
     dump_state,
@@ -59,6 +60,22 @@ def test_state_parse_errors_are_anchored():
     # declared n inconsistent with the array length is a parse failure
     with pytest.raises(ParseError, match="expected 2"):
         load_state('{"n": 1, "amplitudes": [[1, 0]]}')
+
+
+def test_state_file_rejects_non_finite():
+    with pytest.raises(ParseError, match="finite"):
+        load_state('{"n": 1, "amplitudes": [[NaN, 0], [1, 0]]}')
+    with pytest.raises(ValueError):
+        dump_state(StateVector(1, np.array([np.nan, 1.0], dtype=np.complex128)))
+
+
+def test_circuit_angle_must_be_finite():
+    for value in ("Infinity", "-Infinity", "NaN"):
+        doc = f'{{"n": 1, "gates": [{{"type": "rot", "axis": "y", "target": 1, "angle": {value}}}]}}'
+        with pytest.raises(ParseError, match=r"gates\[0\]\.angle"):
+            load_circuit(doc)
+    with pytest.raises(ValueError):
+        dump_circuit(Circuit(1, (Rot(AXIS_Y, 1, math.inf),)))
 
 
 def test_circuit_round_trip_exact():

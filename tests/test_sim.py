@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ucrsynth import (
     AXIS_Y,
@@ -23,6 +26,11 @@ from ucrsynth import (
     random_state,
 )
 from test_circuit import random_circuit
+
+
+def fold(x, c):
+    """Per-gate reference: apply_gate over the gate list in time order."""
+    return functools.reduce(apply_gate, c.gates, x)
 
 
 def test_rot_y_pi_on_zero_state():
@@ -113,8 +121,9 @@ def test_apply_ucr_matches_lowered_circuit():
         g = UcrGate(tuple(range(1, k + 1)), n, axis, rng.uniform(-math.pi, math.pi, 1 << k))
         direct = apply_ucr(x, g)
         for mirrored in (False, True):
-            ladder = apply_circuit(x, lower_ucr(g, n, mirrored=mirrored))
-            assert np.abs(direct.amplitudes - ladder.amplitudes).max() <= 1e-11
+            lowered = lower_ucr(g, n, mirrored=mirrored)
+            for ladder in (apply_circuit(x, lowered), fold(x, lowered)):
+                assert np.abs(direct.amplitudes - ladder.amplitudes).max() <= 1e-11
 
 
 def test_apply_ucr_noncontiguous_controls():
@@ -123,8 +132,9 @@ def test_apply_ucr_noncontiguous_controls():
     x = random_state(4, 60)
     g = UcrGate((3, 1), 4, AXIS_Z, rng.uniform(-2, 2, 4))
     direct = apply_ucr(x, g)
-    ladder = apply_circuit(x, lower_ucr(g, 4))
-    assert np.abs(direct.amplitudes - ladder.amplitudes).max() <= 1e-11
+    lowered = lower_ucr(g, 4)
+    for ladder in (apply_circuit(x, lowered), fold(x, lowered)):
+        assert np.abs(direct.amplitudes - ladder.amplitudes).max() <= 1e-11
 
 
 def test_apply_ucr_range_check():
@@ -144,8 +154,8 @@ def test_circuit_unitary_matches_columnwise_simulation():
     c = random_circuit(3, 25, seed=7)
     u = circuit_unitary(c)
     for index in range(8):
-        col = apply_circuit(basis_state(3, index), c)
-        assert np.abs(u[:, index] - col.amplitudes).max() <= 1e-12
+        for col in (apply_circuit(basis_state(3, index), c), fold(basis_state(3, index), c)):
+            assert np.abs(u[:, index] - col.amplitudes).max() <= 1e-12
 
 
 def test_circuit_unitary_is_unitary():
@@ -160,23 +170,45 @@ def test_circuit_unitary_cap():
         circuit_unitary(Circuit(11), max_qubits=10)
 
 
-def test_backends_agree():
-    pytest.importorskip("ucrsynth._kernels")
-    from ucrsynth import _kernels, _kernels_py
+AXES = st.sampled_from([AXIS_Y, AXIS_Z]) | st.floats(0.0, 2.0 * math.pi).map(
+    lambda phi: Axis(math.sin(phi), math.cos(phi))
+)
 
-    rng = np.random.default_rng(17)
-    for n in range(1, 8):
-        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-        a = amps.copy()
-        b = amps.copy()
-        m = np.exp(1j * rng.uniform(0, 1, (2, 2)))
-        for t in range(n):
-            _kernels.rot(a, t, m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-            _kernels_py.rot(b, t, m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-        if n >= 2:
-            _kernels.cnot(a, 0, n - 1)
-            _kernels_py.cnot(b, 0, n - 1)
-            _kernels.cnot(a, n - 1, 0)
-            _kernels_py.cnot(b, n - 1, 0)
-        # relative bound: the test matrices are not unitary, so amplitudes grow
-        assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(a).max())
+
+@st.composite
+def circuits(draw, max_n=7, max_gates=80):
+    """Arbitrary gate lists; half the gates keep the previous target, so
+    long runs, CNOT-only runs and repeated CNOTs show up next to
+    interleaved targets."""
+    n = draw(st.integers(1, max_n))
+    target = 1
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        if draw(st.booleans()):
+            target = draw(st.integers(1, n))
+        if n > 1 and draw(st.booleans()):
+            control = draw(st.integers(1, n - 1))
+            gates.append(Cnot(control + (control >= target), target))
+        else:
+            gates.append(Rot(draw(AXES), target, draw(st.floats(-4.0, 4.0))))
+    return Circuit(n, tuple(gates))
+
+
+@settings(deadline=None)
+@given(circuits(), st.integers(0, 2**32 - 1))
+@example(Circuit(3), 0)
+@example(Circuit(3, (Cnot(1, 3), Cnot(1, 3), Cnot(2, 3), Cnot(3, 1))), 1)
+def test_apply_circuit_matches_per_gate_fold(c, seed):
+    x = random_state(c.n, seed)
+    fused = apply_circuit(x, c)
+    assert np.abs(fused.amplitudes - fold(x, c).amplitudes).max() <= 1e-12
+
+
+@settings(deadline=None)
+@given(circuits(max_n=4))
+@example(Circuit(2))
+def test_circuit_unitary_matches_per_gate_columns(c):
+    u = circuit_unitary(c)
+    for index in range(1 << c.n):
+        col = fold(basis_state(c.n, index), c)
+        assert np.abs(u[:, index] - col.amplitudes).max() <= 1e-12

@@ -45,6 +45,13 @@ def test_make_state_rejects_zero_vector():
         make_state(1, [0.0, 0.0], normalize=True)
 
 
+def test_make_state_rejects_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        make_state(1, [math.nan, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        make_state(1, [math.inf, 0.0], normalize=True)
+
+
 def test_make_state_norm_check_and_rescale():
     with pytest.raises(ValueError):
         make_state(1, [1.0, 1.0])
