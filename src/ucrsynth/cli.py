@@ -29,6 +29,9 @@ EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_EXPORT = 4
 
+# Allowed infidelity: a circuit passes iff its simulated fidelity >= 1 - this.
+TOLERANCE = 1e-9
+
 
 def _read(path: str) -> str:
     try:
@@ -73,12 +76,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
             bounds=result.bounds,
         )
     _print_report(result)
-    overlap = complex(np.vdot(b.amplitudes, apply_circuit(a, result.circuit).amplitudes))
-    print(f"fidelity {abs(overlap)!r}")
+    fidelity = abs(complex(np.vdot(b.amplitudes, apply_circuit(a, result.circuit).amplitudes)))
+    print(f"fidelity {fidelity!r}")
     if args.json:
         Path(args.json).write_text(dump_circuit(result.circuit, _metadata(result)))
     if args.qasm:
         Path(args.qasm).write_text(export_qasm(result.circuit))
+    if fidelity < 1.0 - TOLERANCE:
+        print(f"error: fidelity below threshold {1.0 - TOLERANCE!r}", file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -166,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--tolerance",
         type=float,
-        default=1e-9,
+        default=TOLERANCE,
         help="allowed infidelity; pass iff fidelity >= 1 - tolerance",
     )
     verify.set_defaults(func=cmd_verify)

@@ -48,7 +48,7 @@ def _get(data: dict, field: str, kind: type, label: str, path: str = ""):
 
 def dump_state(x: StateVector) -> str:
     pairs = [[float(a.real), float(a.imag)] for a in x.amplitudes]
-    return json.dumps({"n": x.n, "amplitudes": pairs}, indent=2, allow_nan=False) + "\n"
+    return json.dumps({"n": x.n, "amplitudes": pairs}, allow_nan=False) + "\n"
 
 
 def load_state(text: str, *, label: str = "<state>", normalize: bool = False) -> StateVector:
@@ -127,7 +127,7 @@ def dump_circuit(c: Circuit, metadata: dict | None = None) -> str:
     doc: dict[str, Any] = {"n": c.n, "gates": records}
     if metadata is not None:
         doc["metadata"] = metadata
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return json.dumps(doc, allow_nan=False) + "\n"
 
 
 def load_circuit(text: str, *, label: str = "<circuit>") -> tuple[Circuit, dict]:

@@ -21,7 +21,6 @@ from .circuit import (
     Circuit,
     Gate,
     UcrGate,
-    dagger,
     gate_counts,
     lower_ucr,
     simplify,
@@ -87,46 +86,45 @@ def _mean_phase(x: StateVector) -> float:
     return float(np.sum(phases(x))) / x.dim
 
 
-def _cascade(n: int, schedule: AngleSchedule) -> list[UcrGate]:
+def _cascade(schedule: AngleSchedule) -> list[UcrGate]:
     """UCR pair per qubit, time order j = n down to 1, z before y."""
+    n = schedule.n
     out = []
     for j in range(n, 0, -1):
         controls = tuple(range(1, j))
-        z_level = schedule.z_levels[n - j]
-        y_level = schedule.y_levels[n - j]
-        out.append(UcrGate(controls, j, AXIS_Z, z_level))
-        out.append(UcrGate(controls, j, AXIS_Y, y_level))
+        out.append(UcrGate(controls, j, AXIS_Z, schedule.z_levels[n - j]))
+        out.append(UcrGate(controls, j, AXIS_Y, schedule.y_levels[n - j]))
     return out
 
 
-def _lower_cascade(n: int, cascade: list[UcrGate], mirrored: bool) -> Circuit:
-    """Lower each UCR to its ladder.
+def _inverse(cascade: list[UcrGate]) -> list[UcrGate]:
+    """Inverse of a UCR list: UCRs in reverse order, angles negated."""
+    return [UcrGate(g.controls, g.target, g.axis, -g.angles) for g in reversed(cascade)]
 
-    With mirrored=False the y member of each pair uses the horizontally
-    mirrored ladder, so its opening CNOT faces the z member's closing twin
-    and cancels in simplify; this is the only pairing that cancels, and it
-    realizes the headline CNOT count. mirrored=True flips the variant of
-    every ladder, giving the equally exact mirrored realization at the
-    cost of those 2(n - 1) cancellations per half.
+
+def _compile(
+    n: int, ucrs: list[UcrGate], residual: float, mirrored: bool = False
+) -> SynthesisResult:
+    """Lower a list of UCR pairs to one circuit, simplify it once and count it.
+
+    Consecutive UCRs 2m, 2m + 1 form a pair on one target and controls:
+    (z, y) in a cascade, (y, z) in an inverse cascade. The second member
+    of each pair uses the horizontally mirrored ladder, so its opening
+    CNOT faces the first member's closing twin and cancels in simplify;
+    this is the only pairing that cancels, and it realizes the headline
+    CNOT count. mirrored=True flips the variant of every ladder, giving
+    the equally exact mirrored realization at the cost of those 2(n - 1)
+    cancellations per cascade.
     """
     gates: list[Gate] = []
-    for g in cascade:
-        flip = (g.axis == AXIS_Y) != mirrored
-        gates.extend(lower_ucr(g, n, mirrored=flip).gates)
-    return Circuit(n, tuple(gates))
-
-
-def _half(x: StateVector, mirrored: bool = False) -> Circuit:
-    """Unsimplified cascade circuit sending x to the first basis vector."""
-    return _lower_cascade(x.n, _cascade(x.n, angle_schedule(x)), mirrored)
-
-
-def _result(circuit: Circuit, residual: float) -> SynthesisResult:
+    for index, g in enumerate(ucrs):
+        gates.extend(lower_ucr(g, n, mirrored=bool(index % 2) != mirrored).gates)
+    circuit = simplify(Circuit(n, tuple(gates)))
     return SynthesisResult(
         circuit=circuit,
         residual_phase=wrap_angle(residual),
         counts=gate_counts(circuit),
-        bounds=bounds(circuit.n),
+        bounds=bounds(n),
     )
 
 
@@ -135,8 +133,7 @@ def disentangle(x: StateVector) -> SynthesisResult:
 
     2**(n+1) - 2n - 2 CNOTs and 2**(n+1) - 2 rotations on generic states.
     """
-    half = _half(x)
-    return _result(simplify(half), _mean_phase(x))
+    return _compile(x.n, _cascade(angle_schedule(x)), _mean_phase(x))
 
 
 def prepare(a: StateVector, b: StateVector, *, mirrored: bool = False) -> SynthesisResult:
@@ -154,35 +151,27 @@ def prepare(a: StateVector, b: StateVector, *, mirrored: bool = False) -> Synthe
     """
     if a.n != b.n:
         raise DimensionError(f"qubit counts differ: {a.n} vs {b.n}")
-    forward = _half(a, mirrored)
-    backward = dagger(_half(b, mirrored))
-    joined = Circuit(a.n, forward.gates + backward.gates)
-    return _result(simplify(joined), _mean_phase(a) - _mean_phase(b))
+    ucrs = _cascade(angle_schedule(a)) + _inverse(_cascade(angle_schedule(b)))
+    return _compile(a.n, ucrs, _mean_phase(a) - _mean_phase(b), mirrored)
 
 
 def prepare_from_basis(i: int, b: StateVector) -> SynthesisResult:
     """Circuit C with C|e_(i+1)> = e^(i phi) |b> at half the prepare cost.
 
-    For i = 0 this is just the inverse of disentangle(b). For i != 0 the
-    amplitudes are relabeled by XOR with i (sending index i to 0), the
-    cascade is built for the relabeled vector, and the bit-flip conjugation
-    is absorbed into the angle schedule: flipping a control qubit permutes
-    each level by XOR on the control pattern, flipping the target qubit
-    negates the level (X R X = R(-angle) for any y-z axis).
+    The inverse of the cascade of b relabeled by XOR with i (sending index
+    i to 0; for i = 0 that is the inverse of disentangle(b)). The bit-flip
+    conjugation is absorbed into the angle schedule: flipping a control
+    qubit permutes each level by XOR on the control pattern, flipping the
+    target qubit negates the level (X R X = R(-angle) for any y-z axis).
     """
     n = b.n
     if not 0 <= i < b.dim:
         raise ValueError(f"basis index {i} out of range for n={n}")
-    if i == 0:
-        half = _half(b)
-    else:
-        relabeled = StateVector(n, b.amplitudes[np.arange(b.dim) ^ i].copy())
-        schedule = angle_schedule(relabeled)
-        for j in range(1, n + 1):
-            cmask = i >> (n - j + 1)
-            sign = -1.0 if (i >> (n - j)) & 1 else 1.0
-            perm = np.arange(1 << (j - 1)) ^ cmask
-            schedule.z_levels[n - j] = sign * schedule.z_levels[n - j][perm]
-            schedule.y_levels[n - j] = sign * schedule.y_levels[n - j][perm]
-        half = _lower_cascade(n, _cascade(n, schedule), False)
-    return _result(simplify(dagger(half)), -_mean_phase(b))
+    schedule = angle_schedule(StateVector(n, b.amplitudes[np.arange(b.dim) ^ i]))
+    for j in range(1, n + 1):
+        cmask = i >> (n - j + 1)
+        sign = -1.0 if (i >> (n - j)) & 1 else 1.0
+        perm = np.arange(1 << (j - 1)) ^ cmask
+        schedule.z_levels[n - j] = sign * schedule.z_levels[n - j][perm]
+        schedule.y_levels[n - j] = sign * schedule.y_levels[n - j][perm]
+    return _compile(n, _inverse(_cascade(schedule)), -_mean_phase(b))

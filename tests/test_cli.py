@@ -187,6 +187,22 @@ def test_prune_epsilon_shrinks_degenerate_circuits(tmp_path, capsys):
     assert main(["verify", str(pruned), str(bell), str(target)]) == 0
 
 
+def test_synth_failed_self_check_exit_1(tmp_path, capsys):
+    # pruning every rotation leaves a CNOT-only circuit that misses b; synth
+    # still reports and writes its files, then exits with the verify code
+    a, b = write_states(tmp_path)
+    out_json = tmp_path / "c.json"
+    out_qasm = tmp_path / "c.qasm"
+    argv = ["synth", str(a), str(b), "--prune-epsilon", "1e3", "--json", str(out_json), "--qasm", str(out_qasm)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "fidelity" in captured.out
+    assert "threshold" in captured.err
+    _, meta = load_circuit(out_json.read_text())
+    assert meta["counts"]["rot"] == 0
+    assert out_qasm.read_text().startswith("//")
+
+
 def test_bench_table(capsys):
     assert main(["bench", "--n-max", "4", "--seed", "3"]) == 0
     out = capsys.readouterr().out

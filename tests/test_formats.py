@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from ucrsynth import (
     AXIS_Y,
@@ -24,6 +25,8 @@ from ucrsynth import (
     random_state,
     rot_matrix,
 )
+
+from test_sim import circuits
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -147,6 +150,25 @@ def test_qasm_sign_convention_bridge():
             t = -angle
             qasm_gate = math.cos(t / 2) * np.eye(2) - 1j * math.sin(t / 2) * sigma
             assert np.abs(rot_matrix(axis, angle) - qasm_gate).max() <= 1e-15
+
+
+def gate_bits(c):
+    """Gates with every float spelled out bit for bit (so -0.0 != 0.0)."""
+    return [
+        (g.control, g.target) if isinstance(g, Cnot)
+        else (g.axis.ay.hex(), g.axis.az.hex(), g.target, g.angle.hex())
+        for g in c.gates
+    ]
+
+
+@settings(deadline=None)
+@given(circuits())
+@example(Circuit(2, (Rot(AXIS_Z, 1, -0.0), Rot(Axis(0.6, -0.8), 2, 0.0), Cnot(1, 2))))
+def test_circuit_round_trip_bit_identical(c):
+    back, meta = load_circuit(dump_circuit(c))
+    assert back == c
+    assert gate_bits(back) == gate_bits(c)
+    assert meta == {}
 
 
 def test_qasm_rejects_general_axis():

@@ -24,6 +24,7 @@ from ucrsynth import (
     lower_ucr,
     make_state,
     random_state,
+    simplify,
 )
 from test_circuit import random_circuit
 
@@ -212,3 +213,29 @@ def test_circuit_unitary_matches_per_gate_columns(c):
     for index in range(1 << c.n):
         col = fold(basis_state(c.n, index), c)
         assert np.abs(u[:, index] - col.amplitudes).max() <= 1e-12
+
+
+@settings(deadline=None)
+@given(circuits())
+def test_dagger_is_an_involution(c):
+    twice = dagger(dagger(c))
+    assert twice == c
+    # bit for bit: negating twice restores the sign of a zero angle
+    angle_bits = lambda x: [g.angle.hex() for g in x.gates if isinstance(g, Rot)]
+    assert angle_bits(twice) == angle_bits(c)
+
+
+@settings(deadline=None)
+@given(circuits(), st.booleans())
+@example(Circuit(2, (Cnot(1, 2), Rot(AXIS_Y, 2, 1.0), Rot(AXIS_Y, 2, -0.8), Cnot(1, 2))), True)
+def test_simplify_is_idempotent(c, prune):
+    once = simplify(c, prune_atol=0.5, prune=prune)
+    assert simplify(once, prune_atol=0.5, prune=prune) == once
+
+
+@settings(deadline=None)
+@given(circuits(max_n=4))
+@example(Circuit(2, (Cnot(1, 2), Rot(AXIS_Z, 2, 1.0), Rot(AXIS_Z, 2, -1.0), Cnot(1, 2))))
+def test_simplify_preserves_unitary(c):
+    u = circuit_unitary(c)
+    assert np.abs(circuit_unitary(simplify(c)) - u).max() <= 1e-12

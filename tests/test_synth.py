@@ -7,19 +7,26 @@ import pytest
 
 from ucrsynth import (
     AXIS_Y,
+    AXIS_Z,
+    Circuit,
     Cnot,
     DimensionError,
     Rot,
+    UcrGate,
+    angle_schedule,
     apply_circuit,
     basis_state,
     bounds,
+    dagger,
     disentangle,
     gate_counts,
+    lower_ucr,
     make_state,
     phases,
     prepare,
     prepare_from_basis,
     random_state,
+    simplify,
     wrap_angle,
 )
 
@@ -237,3 +244,65 @@ def test_junction_merge_is_single_y_rotation():
     assert len(q1) == 3
     assert axes[0].az == axes[2].az == 1.0
     assert axes[1].ay == 1.0
+
+
+def lowered_half(schedule, mirrored=False):
+    """Cascade lowered UCR by UCR, the y member of each pair mirrored."""
+    n = schedule.n
+    gates = []
+    for j in range(n, 0, -1):
+        controls = tuple(range(1, j))
+        for axis, level in ((AXIS_Z, schedule.z_levels[n - j]), (AXIS_Y, schedule.y_levels[n - j])):
+            flip = (axis == AXIS_Y) != mirrored
+            gates += lower_ucr(UcrGate(controls, j, axis, level), n, mirrored=flip).gates
+    return Circuit(n, tuple(gates))
+
+
+def relabeled_schedule(i, b):
+    """Schedule of b with index i sent to 0, bit flips folded into the angles."""
+    n = b.n
+    schedule = angle_schedule(make_state(n, b.amplitudes[np.arange(b.dim) ^ i]))
+    for j in range(1, n + 1):
+        sign = -1.0 if (i >> (n - j)) & 1 else 1.0
+        perm = np.arange(1 << (j - 1)) ^ (i >> (n - j + 1))
+        schedule.z_levels[n - j] = sign * schedule.z_levels[n - j][perm]
+        schedule.y_levels[n - j] = sign * schedule.y_levels[n - j][perm]
+    return schedule
+
+
+def mean_phase(x):
+    return float(np.sum(phases(x))) / x.dim
+
+
+def test_single_path_matches_lowered_halves_joined_by_dagger():
+    # oracle: lower each half to a circuit, invert b's half gate by gate
+    # with dagger, join and simplify; == (not bitwise) because negating
+    # before the Walsh-Hadamard transform may flip the sign of a zero angle
+    rng = np.random.default_rng(2024)
+    for n in range(1, 9):
+        for zeros in (0, (1 << n) // 2):
+            a = zero_padded_state(n, zeros, int(rng.integers(1 << 30)))
+            b = zero_padded_state(n, zeros, int(rng.integers(1 << 30)))
+            i = int(rng.integers(1 << n))
+            cases = [
+                (disentangle(a), simplify(lowered_half(angle_schedule(a))), mean_phase(a)),
+                (
+                    prepare_from_basis(0, b),
+                    simplify(dagger(lowered_half(angle_schedule(b)))),
+                    -mean_phase(b),
+                ),
+                (
+                    prepare_from_basis(i, b),
+                    simplify(dagger(lowered_half(relabeled_schedule(i, b)))),
+                    -mean_phase(b),
+                ),
+            ]
+            for mirrored in (False, True):
+                forward = lowered_half(angle_schedule(a), mirrored)
+                backward = dagger(lowered_half(angle_schedule(b), mirrored))
+                expect = simplify(Circuit(n, forward.gates + backward.gates))
+                cases.append((prepare(a, b, mirrored=mirrored), expect, mean_phase(a) - mean_phase(b)))
+            for result, expect, residual in cases:
+                assert result.circuit.gates == expect.gates
+                assert result.counts == gate_counts(expect)
+                assert result.residual_phase == wrap_angle(residual)
