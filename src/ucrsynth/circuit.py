@@ -9,11 +9,12 @@ amplitude index.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gray import alpha_to_theta, gray
+from .gray import alpha_to_theta, gray_permutation
 
 AXIS_ATOL = 1e-12
 
@@ -102,31 +103,154 @@ class UcrGate:
         return len(self.controls)
 
 
-@dataclass(frozen=True)
 class Circuit:
-    """Time-ordered elementary gate list; gates[0] is applied first."""
+    """Time-ordered elementary gate list held as parallel numpy columns.
 
-    n: int
-    gates: tuple[Gate, ...] = ()
+    Row r is gate r (row 0 is applied first): Cnot(control[r], target[r])
+    when control[r] > 0, else Rot(axes[axis[r]], target[r], angle[r]).
+    Qubits are 1-based, so control 0 is free to mark a rotation; CNOT rows
+    carry axis 0 and angle 0. ``axes`` holds distinct axis values. The
+    columns are read-only and may be shared between circuits.
 
-    def __post_init__(self):
-        for g in self.gates:
-            qubits = (g.control, g.target) if isinstance(g, Cnot) else (g.target,)
-            for q in qubits:
-                if not 1 <= q <= self.n:
-                    raise ValueError(f"gate {g} references qubit {q} outside 1..{self.n}")
+    ``Circuit(n, gates)`` converts and checks gate objects at the boundary.
+    ``gates`` builds fresh gate objects from the columns on every access;
+    ``len`` and the columns cost nothing extra.
+    """
+
+    __slots__ = ("n", "control", "target", "axis", "axes", "angle")
+
+    def __init__(self, n: int, gates: Iterable[Gate] = ()):
+        gates = tuple(gates)
+        cnot = [isinstance(g, Cnot) for g in gates]
+        index: dict[Axis, int] = {}
+        self._fill(
+            n,
+            [g.control if c else 0 for g, c in zip(gates, cnot)],
+            [g.target for g in gates],
+            [0 if c else index.setdefault(g.axis, len(index)) for g, c in zip(gates, cnot)],
+            tuple(index),
+            [0.0 if c else g.angle for g, c in zip(gates, cnot)],
+        )
+        self.__post_init__(np.array(cnot, dtype=bool))
+
+    @classmethod
+    def _from_columns(cls, n, control, target, axis, axes, angle) -> Circuit:
+        """Trusted constructor for columns built inside the package: no check."""
+        c = object.__new__(cls)
+        c._fill(n, control, target, axis, axes, angle)
+        return c
+
+    def _fill(self, n, control, target, axis, axes, angle) -> None:
+        self.n = n
+        self.axes = tuple(axes)
+        self.control = _column(control, np.int32)
+        self.target = _column(target, np.int32)
+        self.axis = _column(axis, np.int32)
+        self.angle = _column(angle, np.float64)
+
+    def __post_init__(self, cnot: np.ndarray) -> None:
+        """Boundary check: CNOT control != target, qubits in 1..n, finite angles.
+
+        ``cnot`` marks the CNOT rows, since a CNOT read with control 0 is
+        indistinguishable from a rotation in the columns alone.
+        """
+        n, control, target = self.n, self.control, self.target
+        coincide = cnot & (control == target)
+        if coincide.any():
+            q = int(control[np.argmax(coincide)])
+            raise ValueError(f"cnot control and target coincide on qubit {q}")
+        bad_control = cnot & ((control < 1) | (control > n))
+        bad = bad_control | (target < 1) | (target > n) | ~np.isfinite(self.angle)
+        if bad.any():
+            r = int(np.argmax(bad))
+            c, t, angle = int(control[r]), int(target[r]), float(self.angle[r])
+            g = Cnot(c, t) if cnot[r] else Rot(self.axes[self.axis[r]], t, angle)
+            if not (1 <= t <= n) or bad_control[r]:
+                q = c if bad_control[r] else t
+                raise ValueError(f"gate {g} references qubit {q} outside 1..{n}")
+            raise ValueError(f"gate {g} has a non-finite angle")
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gates in time order, built afresh on every access."""
+        return tuple(self)
+
+    def __iter__(self) -> Iterator[Gate]:
+        # one Cnot object per distinct (control, target) pair in this pass:
+        # gates are immutable, and CNOTs repeat a few pairs many times
+        axes, cnots = self.axes, {}
+        for start in range(0, len(self), _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            for c, t, a, angle in zip(
+                self.control[rows].tolist(),
+                self.target[rows].tolist(),
+                self.axis[rows].tolist(),
+                self.angle[rows].tolist(),
+            ):
+                if c:
+                    yield cnots.get((c, t)) or cnots.setdefault((c, t), Cnot(c, t))
+                else:
+                    yield Rot(axes[a], t, angle)
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return self.target.size
 
-    def __iter__(self):
-        return iter(self.gates)
+    def __eq__(self, other) -> bool:
+        """Gate-tuple equality: same n and, row by row, equal gates."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.n != other.n or len(self) != len(other):
+            return False
+        rot = self.control == 0
+        same_axis = np.array(
+            [[a == b for b in other.axes] for a in self.axes], dtype=bool
+        ).reshape(len(self.axes), len(other.axes))
+        return bool(
+            np.array_equal(self.control, other.control)
+            and np.array_equal(self.target, other.target)
+            and np.array_equal(self.angle[rot], other.angle[rot])
+            and same_axis[self.axis[rot], other.axis[rot]].all()
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.gates))
+
+    def __repr__(self) -> str:
+        return f"Circuit(n={self.n!r}, gates={self.gates!r})"
+
+
+# Rows turned into gate objects per step of Circuit.__iter__: bounds the
+# Python lists alive at once while keeping the per-row cost low.
+_CHUNK = 4096
+
+
+def _column(values, dtype) -> np.ndarray:
+    out = np.asarray(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+def _concat(n: int, parts: list[Circuit]) -> Circuit:
+    """The parts run one after another; equal axes share one index."""
+    index: dict[Axis, int] = {}
+    axis = []
+    for c in parts:
+        remap = np.array([index.setdefault(a, len(index)) for a in c.axes] or [0])
+        axis.append(np.where(c.control > 0, 0, remap[c.axis]))
+    return Circuit._from_columns(
+        n,
+        np.concatenate([c.control for c in parts]),
+        np.concatenate([c.target for c in parts]),
+        np.concatenate(axis),
+        tuple(index),
+        np.concatenate([c.angle for c in parts]),
+    )
 
 
 def gate_counts(c: Circuit) -> dict[str, int]:
     """Exact counts by gate kind."""
-    cnot = sum(1 for g in c.gates if isinstance(g, Cnot))
-    return {"cnot": cnot, "rot": len(c.gates) - cnot}
+    cnot = int(np.count_nonzero(c.control))
+    return {"cnot": cnot, "rot": len(c) - cnot}
 
 
 def lower_ucr(g: UcrGate, n: int | None = None, *, mirrored: bool = False) -> Circuit:
@@ -140,19 +264,26 @@ def lower_ucr(g: UcrGate, n: int | None = None, *, mirrored: bool = False) -> Ci
     """
     if n is None:
         n = max((g.target, *g.controls))
-    k = g.k
-    if k == 0:
-        return Circuit(n, (Rot(g.axis, g.target, float(g.angles[0])),))
+    for q in (g.target, *g.controls):
+        if not 1 <= q <= n:
+            raise ValueError(f"UCR qubit {q} outside 1..{n}")
     theta = alpha_to_theta(g.angles)
-    gates: list[Gate] = []
-    for t in range(1, (1 << k) + 1):
-        gates.append(Rot(g.axis, g.target, float(theta[t - 1])))
-        flank = gray(t - 1) ^ gray(t % (1 << k))
-        control = g.controls[k - flank.bit_length()]
-        gates.append(Cnot(control, g.target))
-    if mirrored:
-        gates.reverse()
-    return Circuit(n, tuple(gates))
+    control = np.zeros(2 * theta.size, dtype=np.int32)
+    angle = np.zeros(2 * theta.size)
+    angle[0::2] = theta
+    if g.k:
+        codes = gray_permutation(g.k)
+        # the flipped bit 2**b between Gray codes t and t + 1 belongs to
+        # controls[k - 1 - b]; b = popcount(2**b - 1)
+        bit = np.bitwise_count((codes ^ np.roll(codes, -1)) - 1)
+        control[1::2] = np.array(g.controls)[g.k - 1 - bit]
+    else:
+        control, angle = control[:1], angle[:1]
+    step = -1 if mirrored else 1
+    zeros = np.zeros(control.size, dtype=np.int32)
+    return Circuit._from_columns(
+        n, control[::step], zeros + g.target, zeros, (g.axis,), angle[::step]
+    )
 
 
 def ucr_matrix(g: UcrGate, *, max_controls: int = 10) -> np.ndarray:
@@ -173,11 +304,9 @@ def ucr_matrix(g: UcrGate, *, max_controls: int = 10) -> np.ndarray:
 
 def dagger(c: Circuit) -> Circuit:
     """Inverse circuit: gates reversed, rotation angles negated."""
-    inverted = tuple(
-        g if isinstance(g, Cnot) else Rot(g.axis, g.target, -g.angle)
-        for g in reversed(c.gates)
+    return Circuit._from_columns(
+        c.n, c.control[::-1], c.target[::-1], c.axis[::-1], c.axes, -c.angle[::-1]
     )
-    return Circuit(c.n, inverted)
 
 
 def simplify(c: Circuit, *, prune_atol: float = 0.0, prune: bool = False) -> Circuit:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -20,7 +21,7 @@ from .circuit import gate_counts, simplify
 from .errors import DimensionError, ExportError, ParseError
 from .formats import dump_circuit, export_qasm, load_circuit, load_state
 from .sim import apply_circuit
-from .state import StateVector, random_state
+from .state import StateVector, random_state, wrap_angle
 from .synth import SynthesisResult, prepare
 
 EXIT_OK = 0
@@ -89,16 +90,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    circuit, _ = load_circuit(_read(args.circuit), label=args.circuit)
+    circuit, metadata = load_circuit(_read(args.circuit), label=args.circuit)
     a = _load_state_file(args.input_a, args.normalize)
     b = _load_state_file(args.input_b, args.normalize)
     out = apply_circuit(a, circuit)
     overlap = complex(np.vdot(b.amplitudes, out.amplitudes))
     fidelity = abs(overlap)
+    phase = cmath.phase(overlap)
+    error = float(np.max(np.abs(out.amplitudes - cmath.exp(1j * phase) * b.amplitudes)))
     threshold = 1.0 - args.tolerance
     passed = fidelity >= threshold
     print(f"fidelity {fidelity!r}")
-    print(f"residual phase {cmath.phase(overlap)!r}")
+    print(f"residual phase {phase!r}")
+    print(f"max amplitude error {error!r}")
+    reported = metadata.get("residual_phase")
+    if type(reported) in (int, float) and math.isfinite(reported):
+        gap = wrap_angle(phase - reported)
+        print(f"reported residual phase {reported!r} (gap {gap!r})")
     print(f"{'PASS' if passed else 'FAIL'} (threshold {threshold!r})")
     return EXIT_OK if passed else EXIT_VERIFY
 

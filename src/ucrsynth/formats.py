@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .circuit import AXIS_Y, AXIS_Z, Axis, Circuit, Cnot, Gate, Rot
+from .circuit import AXIS_Y, AXIS_Z, Axis, Circuit
 from .errors import DimensionError, ExportError, ParseError
 from .state import StateVector, make_state
 
@@ -111,19 +111,15 @@ def _axis_from_json(value, label: str, path: str) -> Axis:
 
 
 def dump_circuit(c: Circuit, metadata: dict | None = None) -> str:
-    records = []
-    for g in c.gates:
-        if isinstance(g, Cnot):
-            records.append({"type": "cnot", "control": g.control, "target": g.target})
-        else:
-            records.append(
-                {
-                    "type": "rot",
-                    "axis": _axis_json(g.axis),
-                    "target": g.target,
-                    "angle": g.angle,
-                }
-            )
+    axes = [_axis_json(a) for a in c.axes]
+    records = [
+        {"type": "cnot", "control": control, "target": target}
+        if control
+        else {"type": "rot", "axis": axes[axis], "target": target, "angle": angle}
+        for control, target, axis, angle in zip(
+            c.control.tolist(), c.target.tolist(), c.axis.tolist(), c.angle.tolist()
+        )
+    ]
     doc: dict[str, Any] = {"n": c.n, "gates": records}
     if metadata is not None:
         doc["metadata"] = metadata
@@ -135,33 +131,42 @@ def load_circuit(text: str, *, label: str = "<circuit>") -> tuple[Circuit, dict]
     data = _parse_json(text, label)
     n = _get(data, "n", int, label)
     records = _get(data, "gates", list, label)
-    gates: list[Gate] = []
+    cnot, control, target, axis, angle = [], [], [], [], []
+    axes: dict[Axis, int] = {}
     for i, rec in enumerate(records):
         path = f"gates[{i}]"
         kind = _get(rec, "type", str, label, f"{path}.type")
         if kind == "cnot":
-            control = _get(rec, "control", int, label, f"{path}.control")
-            target = _get(rec, "target", int, label, f"{path}.target")
-            try:
-                gates.append(Cnot(control, target))
-            except ValueError as e:
-                raise ParseError(f"{label}: {path}: {e}") from e
+            c = _get(rec, "control", int, label, f"{path}.control")
+            t = _get(rec, "target", int, label, f"{path}.target")
+            if c == t:
+                raise ParseError(f"{label}: {path}: cnot control and target coincide on qubit {c}")
+            cnot.append(True)
+            control.append(c)
+            axis.append(0)
+            angle.append(0.0)
         elif kind == "rot":
-            axis = _axis_from_json(rec.get("axis"), label, f"{path}.axis")
-            target = _get(rec, "target", int, label, f"{path}.target")
-            angle = _get(rec, "angle", float, label, f"{path}.angle")
-            if not np.isfinite(angle):
-                raise ParseError(f"{label}: {path}.angle: expected a finite number, got {angle!r}")
-            gates.append(Rot(axis, target, angle))
+            a = _axis_from_json(rec.get("axis"), label, f"{path}.axis")
+            t = _get(rec, "target", int, label, f"{path}.target")
+            value = _get(rec, "angle", float, label, f"{path}.angle")
+            if not np.isfinite(value):
+                raise ParseError(f"{label}: {path}.angle: expected a finite number, got {value!r}")
+            cnot.append(False)
+            control.append(0)
+            axis.append(axes.setdefault(a, len(axes)))
+            angle.append(value)
         else:
             raise ParseError(f"{label}: {path}.type: unknown gate type {kind!r}")
+        target.append(t)
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError(f"{label}: metadata: expected an object")
+    circuit = Circuit._from_columns(n, control, target, axis, tuple(axes), angle)
     try:
-        return Circuit(n, tuple(gates)), metadata
+        circuit.__post_init__(np.array(cnot, dtype=bool))
     except ValueError as e:
         raise ParseError(f"{label}: {e}") from e
+    return circuit, metadata
 
 
 def export_qasm(c: Circuit) -> str:
@@ -179,19 +184,19 @@ def export_qasm(c: Circuit) -> str:
         'include "qelib1.inc";',
         f"qreg q[{c.n}];",
     ]
-    for g in c.gates:
-        if isinstance(g, Cnot):
-            lines.append(f"cx q[{c.n - g.control}],q[{c.n - g.target}];")
+    names = ["ry" if a == AXIS_Y else "rz" if a == AXIS_Z else None for a in c.axes]
+    for control, target, axis, angle in zip(
+        c.control.tolist(), c.target.tolist(), c.axis.tolist(), c.angle.tolist()
+    ):
+        if control:
+            lines.append(f"cx q[{c.n - control}],q[{c.n - target}];")
             continue
-        if g.axis == AXIS_Y:
-            name = "ry"
-        elif g.axis == AXIS_Z:
-            name = "rz"
-        else:
+        name = names[axis]
+        if name is None:
             raise ExportError(
-                f"axis ({g.axis.ay}, {g.axis.az}) is not exactly y or z; "
+                f"axis ({c.axes[axis].ay}, {c.axes[axis].az}) is not exactly y or z; "
                 f"general y-z rotations have no OpenQASM 2.0 gate in this subset"
             )
-        angle = -g.angle or 0.0
-        lines.append(f"{name}({angle!r}) q[{c.n - g.target}];")
+        angle = -angle or 0.0
+        lines.append(f"{name}({angle!r}) q[{c.n - target}];")
     return "\n".join(lines) + "\n"

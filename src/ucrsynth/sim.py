@@ -103,26 +103,36 @@ def _apply_run(
     view[lead + (0,)] = new0
 
 
-def _apply_fused(amps: np.ndarray, gates, n_bits: int) -> None:
-    """Run gates over amps (2**n_bits entries, qubit q on axis q - 1) run by run."""
+def _apply_fused(amps: np.ndarray, c: Circuit, n_bits: int) -> None:
+    """Run c over amps (2**n_bits entries, qubit q on axis q - 1) run by run.
+
+    A run starts where the target changes, and at a rotation about another
+    axis than the previous rotation on the same target.
+    """
+    if not len(c):
+        return
     view = amps.reshape((2,) * n_bits)
-    target, axis, used, mask, masks, angles = 0, None, 0, 0, [], []
-    for g in gates:
-        is_cnot = isinstance(g, Cnot)
-        if g.target != target or not (is_cnot or axis is None or g.axis == axis):
-            if target:
-                _apply_run(view, target, axis, used, mask, masks, angles)
-            target, axis, used, mask, masks, angles = g.target, None, 0, 0, [], []
-        if is_cnot:
-            bit = 1 << g.control
-            used |= bit
-            mask ^= bit
-        else:
-            axis = g.axis
-            masks.append(mask)
-            angles.append(g.angle)
-    if target:
-        _apply_run(view, target, axis, used, mask, masks, angles)
+    new_run = np.ones(len(c), dtype=bool)
+    new_run[1:] = c.target[1:] != c.target[:-1]
+    segment = np.cumsum(new_run, dtype=np.int32)
+    rots = np.flatnonzero(c.control == 0)
+    prev, cur = rots[:-1], rots[1:]
+    new_run[cur[(c.axis[cur] != c.axis[prev]) & (segment[cur] == segment[prev])]] = True
+    starts = np.flatnonzero(new_run)
+    # rotations (control 0) toggle bit 0, which no qubit reads
+    bits = np.left_shift(1, c.control, dtype=np.int64)
+    mask = np.bitwise_xor.accumulate(bits)  # running control mask from row 0
+    before = mask[starts] ^ bits[starts]
+    used = np.bitwise_or.reduceat(bits, starts)
+    final = np.bitwise_xor.reduceat(bits, starts)
+    bounds = np.searchsorted(rots, np.append(starts, len(c)))
+    for j, start in enumerate(starts.tolist()):
+        r = rots[bounds[j] : bounds[j + 1]]
+        axis = c.axes[c.axis[r[0]]] if r.size else None
+        _apply_run(
+            view, int(c.target[start]), axis, int(used[j]), int(final[j]),
+            mask[r] ^ before[j], c.angle[r],
+        )
 
 
 def apply_gate(x: StateVector, g: Gate) -> StateVector:
@@ -143,7 +153,7 @@ def apply_circuit(x: StateVector, c: Circuit) -> StateVector:
     if c.n != x.n:
         raise DimensionError(f"circuit is on {c.n} qubits, state on {x.n}")
     amps = x.amplitudes.copy()
-    _apply_fused(amps, c.gates, x.n)
+    _apply_fused(amps, c, x.n)
     return StateVector(x.n, amps)
 
 
@@ -187,5 +197,5 @@ def circuit_unitary(c: Circuit, *, max_qubits: int = 10) -> np.ndarray:
         raise ValueError(f"n={c.n} exceeds the {max_qubits}-qubit unitary cap")
     dim = 1 << c.n
     u = np.eye(dim, dtype=np.complex128)
-    _apply_fused(u.reshape(-1), c.gates, 2 * c.n)
+    _apply_fused(u.reshape(-1), c, 2 * c.n)
     return u

@@ -15,16 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import AngleSchedule, angle_schedule
-from .circuit import (
-    AXIS_Y,
-    AXIS_Z,
-    Circuit,
-    Gate,
-    UcrGate,
-    gate_counts,
-    lower_ucr,
-    simplify,
-)
+from .circuit import AXIS_Y, AXIS_Z, Circuit, UcrGate, _concat, gate_counts, lower_ucr
 from .errors import DimensionError
 from .state import StateVector, phases, wrap_angle
 
@@ -105,21 +96,44 @@ def _inverse(cascade: list[UcrGate]) -> list[UcrGate]:
 def _compile(
     n: int, ucrs: list[UcrGate], residual: float, mirrored: bool = False
 ) -> SynthesisResult:
-    """Lower a list of UCR pairs to one circuit, simplify it once and count it.
+    """Lower a list of UCR pairs to one circuit, cancel at the seams and count it.
 
     Consecutive UCRs 2m, 2m + 1 form a pair on one target and controls:
     (z, y) in a cascade, (y, z) in an inverse cascade. The second member
     of each pair uses the horizontally mirrored ladder, so its opening
-    CNOT faces the first member's closing twin and cancels in simplify;
-    this is the only pairing that cancels, and it realizes the headline
-    CNOT count. mirrored=True flips the variant of every ladder, giving
-    the equally exact mirrored realization at the cost of those 2(n - 1)
-    cancellations per cascade.
+    CNOT faces the first member's closing twin and cancels; this is the
+    only pairing that cancels, and it realizes the headline CNOT count.
+    mirrored=True flips the variant of every ladder, giving the equally
+    exact mirrored realization at the cost of those 2(n - 1) cancellations
+    per cascade.
+
+    Ladders alternate rotations and CNOTs, so only the two gates facing
+    each other across a seam can reduce: identical CNOTs cancel, rotations
+    with one target and axis merge by angle addition. What either exposes
+    is a pair of rotations about different axes (the z and y members of a
+    pair), so nothing reduces further and the result equals simplify's
+    fixpoint of the joined ladders.
     """
-    gates: list[Gate] = []
-    for index, g in enumerate(ucrs):
-        gates.extend(lower_ucr(g, n, mirrored=bool(index % 2) != mirrored).gates)
-    circuit = simplify(Circuit(n, tuple(gates)))
+    ladders = [
+        lower_ucr(g, n, mirrored=bool(index % 2) != mirrored) for index, g in enumerate(ucrs)
+    ]
+    joined = _concat(n, ladders)
+    right = np.cumsum([len(c) for c in ladders[:-1]])  # first row after each seam
+    left = right - 1
+    control, target, axis = joined.control, joined.target, joined.axis
+    same = (
+        (control[left] == control[right])
+        & (target[left] == target[right])
+        & (axis[left] == axis[right])
+    )
+    merge = same & (control[left] == 0)
+    angle = joined.angle.copy()
+    angle[left[merge]] += angle[right[merge]]
+    keep = np.ones(len(joined), dtype=bool)
+    keep[right[same]] = keep[left[same & ~merge]] = False
+    circuit = Circuit._from_columns(
+        n, control[keep], target[keep], axis[keep], joined.axes, angle[keep]
+    )
     return SynthesisResult(
         circuit=circuit,
         residual_phase=wrap_angle(residual),

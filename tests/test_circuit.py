@@ -221,3 +221,77 @@ def test_gate_counts():
     assert gate_counts(Circuit(1)) == {"cnot": 0, "rot": 0}
     g = UcrGate(tuple(range(1, 4)), 4, AXIS_Y, np.linspace(0.1, 0.8, 8))
     assert gate_counts(lower_ucr(g)) == {"cnot": 8, "rot": 8}
+
+
+def test_circuit_columns_round_trip_through_gates():
+    circuits = [random_circuit(4, 60, seed) for seed in range(4)] + [Circuit(3)]
+    circuits.append(dagger(random_circuit(3, 30, seed=8)))
+    for c in circuits:
+        assert Circuit(c.n, c.gates) == c
+        assert len(c) == len(c.gates) == gate_counts(c)["cnot"] + gate_counts(c)["rot"]
+    general = Axis(math.sin(0.77), math.cos(0.77))
+    c = Circuit(2, (Rot(general, 2, -1.25), Cnot(2, 1), Rot(AXIS_Z, 1, 0.5), Rot(general, 1, 2.0)))
+    assert c.gates[0].axis == c.gates[3].axis == general
+    assert Circuit(2, c.gates).gates == c.gates
+
+
+def test_gates_are_fresh_on_every_access():
+    c = random_circuit(3, 20, seed=1)
+    first, second = c.gates, c.gates
+    assert first == second
+    assert first is not second
+    rot = next(i for i, g in enumerate(first) if isinstance(g, Rot))
+    assert first[rot] is not second[rot]
+
+
+def test_columns_are_read_only():
+    c = random_circuit(2, 10, seed=4)
+    for column in (c.control, c.target, c.axis, c.angle):
+        with pytest.raises(ValueError):
+            column[0] = 0
+
+
+def test_equality_is_gate_tuple_equality():
+    y0, y1 = Circuit(1, (Rot(AXIS_Y, 1, 0.0),)), Circuit(1, (Rot(AXIS_Y, 1, -0.0),))
+    assert y0 == y1 and hash(y0) == hash(y1)
+    assert y0 != Circuit(1, (Rot(AXIS_Z, 1, 0.0),))
+    assert y0 != Circuit(2, (Rot(AXIS_Y, 1, 0.0),))
+    # the axis ids of a reversed circuit differ from a rebuilt one's
+    mixed = Circuit(2, (Rot(AXIS_Y, 1, 0.3), Cnot(1, 2), Rot(AXIS_Z, 2, 0.1)))
+    reversed_ = dagger(mixed)
+    assert reversed_.axes != Circuit(2, reversed_.gates).axes
+    assert reversed_ == Circuit(2, reversed_.gates)
+
+
+def test_column_paths_build_no_gate_objects(monkeypatch):
+    from ucrsynth import apply_circuit, dump_circuit, export_qasm, prepare, random_state
+
+    a, b = random_state(3, 1), random_state(3, 2)
+    c = prepare(a, b).circuit
+    expect = (len(c.gates), gate_counts(c), dump_circuit(c), export_qasm(c))
+    image = apply_circuit(a, c).amplitudes
+
+    def refuse(self):
+        raise AssertionError("gate objects built")
+
+    monkeypatch.setattr(Circuit, "__iter__", refuse)
+    assert prepare(a, b).circuit == c
+    assert (len(c), gate_counts(c), dump_circuit(c), export_qasm(c)) == expect
+    assert np.array_equal(apply_circuit(a, c).amplitudes, image)
+    assert dagger(dagger(c)) == c
+
+
+def test_public_constructor_checks_columns():
+    with pytest.raises(ValueError, match="qubit 3 outside 1..2"):
+        Circuit(2, (Rot(AXIS_Y, 1, 0.1), Cnot(3, 1)))
+    with pytest.raises(ValueError, match="qubit 0 outside 1..2"):
+        Circuit(2, (Cnot(0, 1),))
+    with pytest.raises(ValueError, match="finite"):
+        Circuit(1, (Rot(AXIS_Z, 1, math.nan),))
+    # a CNOT whose fields were forced past its own check
+    g = Cnot(1, 2)
+    object.__setattr__(g, "control", 2)
+    with pytest.raises(ValueError, match="coincide on qubit 2"):
+        Circuit(2, (g,))
+    with pytest.raises(ValueError, match="outside"):
+        lower_ucr(UcrGate((1,), 3, AXIS_Y, [0.1, 0.2]), 2)

@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, reports, and the exit-code contract."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -101,6 +102,41 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     broken.write_text(dump_circuit(type(circuit)(circuit.n, tuple(gates)), meta))
     assert main(["verify", str(broken), str(a), str(b)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def reported_gap(out):
+    """The gap on verify's reported-phase line, or None without that line."""
+    match = re.search(r"^reported residual phase \S+ \(gap (\S+)\)$", out, re.M)
+    return float(match[1]) if match else None
+
+
+def test_verify_reports_amplitude_error_and_phase_gap(tmp_path, capsys):
+    a, b = write_states(tmp_path)
+    out_json = tmp_path / "c.json"
+    assert main(["synth", str(a), str(b), "--json", str(out_json)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out_json), str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert float(re.search(r"^max amplitude error (\S+)$", out, re.M)[1]) <= 1e-12
+    assert abs(reported_gap(out)) <= 1e-12
+
+    # a tampered reported phase shows as a gap; the verdict is unchanged
+    doc = json.loads(out_json.read_text())
+    doc["metadata"]["residual_phase"] += 0.25
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    assert main(["verify", str(tampered), str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert abs(reported_gap(out) + 0.25) <= 1e-9
+    assert "PASS" in out
+
+    # without the metadata there is nothing to compare against
+    del doc["metadata"]
+    tampered.write_text(json.dumps(doc))
+    assert main(["verify", str(tampered), str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "max amplitude error" in out
+    assert reported_gap(out) is None
 
 
 def test_verify_tolerance_flag(tmp_path, capsys):

@@ -1,0 +1,148 @@
+"""Property tests of the synthesis invariants over n = 1..7.
+
+States are Haar-random, real non-negative, computational basis states, or
+Haar-random with a random pattern of zero amplitudes. The seam oracle
+lowers every UCR of the paper's cascades on its own with ``lower_ucr``,
+joins the ladders and runs the general ``simplify`` pass over them.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ucrsynth import (
+    AXIS_Y,
+    AXIS_Z,
+    Circuit,
+    Rot,
+    UcrGate,
+    angle_schedule,
+    apply_circuit,
+    basis_state,
+    bounds,
+    disentangle,
+    lower_ucr,
+    make_state,
+    phases,
+    prepare,
+    prepare_from_basis,
+    simplify,
+    wrap_angle,
+)
+
+from test_synth import full_counts, half_counts, relabeled_schedule
+
+KINDS = ("haar", "nonnegative", "basis", "zeros")
+
+
+@st.composite
+def states(draw, n):
+    kind = draw(st.sampled_from(KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    if kind == "nonnegative":
+        amps = np.abs(amps.real)
+    elif kind == "basis":
+        amps = np.zeros(1 << n)
+        amps[rng.integers(1 << n)] = 1.0
+    elif kind == "zeros":
+        amps[rng.random(1 << n) < draw(st.floats(0.0, 1.0))] = 0.0
+        if not amps.any():
+            amps[rng.integers(1 << n)] = 1.0
+    return kind, make_state(n, amps, normalize=True)
+
+
+@st.composite
+def cases(draw):
+    """(n, kind of a, a, kind of b, b, basis index i)."""
+    n = draw(st.integers(1, 7))
+    (kind_a, a), (kind_b, b) = draw(states(n)), draw(states(n))
+    return n, kind_a, a, kind_b, b, draw(st.integers(0, (1 << n) - 1))
+
+
+def cascade(schedule):
+    n = schedule.n
+    ucrs = []
+    for j in range(n, 0, -1):
+        controls = tuple(range(1, j))
+        ucrs.append(UcrGate(controls, j, AXIS_Z, schedule.z_levels[n - j]))
+        ucrs.append(UcrGate(controls, j, AXIS_Y, schedule.y_levels[n - j]))
+    return ucrs
+
+
+def inverse(ucrs):
+    return [UcrGate(g.controls, g.target, g.axis, -g.angles) for g in reversed(ucrs)]
+
+
+def simplified_ladders(n, ucrs, mirrored=False):
+    """simplify over every UCR's ladder, the second of each pair mirrored."""
+    gates = []
+    for index, g in enumerate(ucrs):
+        gates += lower_ucr(g, n, mirrored=(index % 2 == 1) != mirrored).gates
+    return simplify(Circuit(n, tuple(gates)))
+
+
+def mean_phase(x):
+    return float(np.sum(phases(x))) / x.dim
+
+
+def angle_bits(c):
+    return [g.angle.hex() for g in c.gates if isinstance(g, Rot)]
+
+
+def results(a, b, i):
+    """(result, its oracle circuit, source state, target state, formula phase)."""
+    n = a.n
+    schedule_a, schedule_b = angle_schedule(a), angle_schedule(b)
+    out = [(disentangle(a), simplified_ladders(n, cascade(schedule_a)), a, basis_state(n),
+            mean_phase(a))]
+    for mirrored in (False, True):
+        ucrs = cascade(schedule_a) + inverse(cascade(schedule_b))
+        out.append((prepare(a, b, mirrored=mirrored), simplified_ladders(n, ucrs, mirrored),
+                    a, b, mean_phase(a) - mean_phase(b)))
+    out.append((prepare_from_basis(i, b),
+                simplified_ladders(n, inverse(cascade(relabeled_schedule(i, b)))),
+                basis_state(n, i), b, -mean_phase(b)))
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(cases())
+def test_seam_rule_equals_simplify_of_joined_ladders(case):
+    n, _, a, _, b, i = case
+    for result, expect, *_ in results(a, b, i):
+        assert result.circuit == expect
+        assert angle_bits(result.circuit) == angle_bits(expect)
+
+
+@settings(deadline=None)
+@given(cases())
+def test_counts_within_bounds_and_exact_for_generic_states(case):
+    n, kind_a, a, kind_b, b, i = case
+    limit = bounds(n)
+    full = prepare(a, b).counts
+    assert full["cnot"] <= limit.upper_cnot and full["rot"] <= limit.upper_rot
+    half = [disentangle(a).counts, prepare_from_basis(i, b).counts]
+    for counts in half:
+        assert counts["cnot"] <= half_counts(n)["cnot"] and counts["rot"] <= half_counts(n)["rot"]
+    mirrored = prepare(a, b, mirrored=True).counts
+    assert mirrored["rot"] == full["rot"]
+    if kind_a == kind_b == "haar":
+        assert full == full_counts(n)
+        assert half == [half_counts(n)] * 2
+        assert mirrored["cnot"] == full["cnot"] + 4 * (n - 1)
+
+
+@settings(deadline=None)
+@given(cases())
+def test_fidelity_and_residual_phase(case):
+    _, _, a, _, b, i = case
+    for result, _, source, target, formula in results(a, b, i):
+        assert result.residual_phase == wrap_angle(formula)
+        out = apply_circuit(source, result.circuit)
+        overlap = complex(np.vdot(target.amplitudes, out.amplitudes))
+        assert abs(overlap) >= 1.0 - 1e-9
+        simulated = math.atan2(overlap.imag, overlap.real)
+        assert abs(wrap_angle(simulated - result.residual_phase)) <= 1e-9
