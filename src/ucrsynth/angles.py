@@ -47,7 +47,7 @@ def norm_tree(x: StateVector) -> NormTree:
     block = np.abs(x.amplitudes) ** 2
     levels = []
     for _ in range(x.n):
-        block = block.reshape(-1, 2).sum(axis=1)
+        block = block[0::2] + block[1::2]
         levels.append(np.sqrt(block))
     return NormTree(levels)
 
@@ -61,9 +61,8 @@ def z_angles(x: StateVector) -> list[np.ndarray]:
     sums = phases(x)
     levels = []
     for k in range(1, x.n + 1):
-        pairs = sums.reshape(-1, 2)
-        levels.append((pairs[:, 1] - pairs[:, 0]) / (1 << (k - 1)))
-        sums = pairs.sum(axis=1)
+        levels.append((sums[1::2] - sums[0::2]) / (1 << (k - 1)))
+        sums = sums[0::2] + sums[1::2]
     return levels
 
 

@@ -143,10 +143,11 @@ class Circuit:
     def _fill(self, n, control, target, axis, axes, angle) -> None:
         self.n = n
         self.axes = tuple(axes)
-        self.control = _column(control, np.int32)
-        self.target = _column(target, np.int32)
+        qubit = f"qubit index outside 1..{n}"
+        self.control = _column(control, np.int32, qubit)
+        self.target = _column(target, np.int32, qubit)
         self.axis = _column(axis, np.int32)
-        self.angle = _column(angle, np.float64)
+        self.angle = _column(angle, np.float64, "angle beyond the float range")
 
     def __post_init__(self, cnot: np.ndarray) -> None:
         """Boundary check: CNOT control != target, qubits in 1..n, finite angles.
@@ -224,27 +225,15 @@ class Circuit:
 _CHUNK = 4096
 
 
-def _column(values, dtype) -> np.ndarray:
-    out = np.asarray(values, dtype=dtype)
+def _column(values, dtype, overflow: str = "") -> np.ndarray:
+    """Read-only column; an integer from outside the package that the dtype
+    cannot hold raises ValueError(overflow)."""
+    try:
+        out = np.asarray(values, dtype=dtype)
+    except OverflowError:
+        raise ValueError(overflow) from None
     out.flags.writeable = False
     return out
-
-
-def _concat(n: int, parts: list[Circuit]) -> Circuit:
-    """The parts run one after another; equal axes share one index."""
-    index: dict[Axis, int] = {}
-    axis = []
-    for c in parts:
-        remap = np.array([index.setdefault(a, len(index)) for a in c.axes] or [0])
-        axis.append(np.where(c.control > 0, 0, remap[c.axis]))
-    return Circuit._from_columns(
-        n,
-        np.concatenate([c.control for c in parts]),
-        np.concatenate([c.target for c in parts]),
-        np.concatenate(axis),
-        tuple(index),
-        np.concatenate([c.angle for c in parts]),
-    )
 
 
 def gate_counts(c: Circuit) -> dict[str, int]:
@@ -267,23 +256,40 @@ def lower_ucr(g: UcrGate, n: int | None = None, *, mirrored: bool = False) -> Ci
     for q in (g.target, *g.controls):
         if not 1 <= q <= n:
             raise ValueError(f"UCR qubit {q} outside 1..{n}")
-    theta = alpha_to_theta(g.angles)
-    control = np.zeros(2 * theta.size, dtype=np.int32)
-    angle = np.zeros(2 * theta.size)
-    angle[0::2] = theta
-    if g.k:
-        codes = gray_permutation(g.k)
-        # the flipped bit 2**b between Gray codes t and t + 1 belongs to
-        # controls[k - 1 - b]; b = popcount(2**b - 1)
-        bit = np.bitwise_count((codes ^ np.roll(codes, -1)) - 1)
-        control[1::2] = np.array(g.controls)[g.k - 1 - bit]
-    else:
-        control, angle = control[:1], angle[:1]
-    step = -1 if mirrored else 1
+    control = ladder_controls(g.controls, mirrored=mirrored)
+    angle = np.zeros(control.size)
+    angle[control == 0] = ladder_angles(g, mirrored=mirrored)
     zeros = np.zeros(control.size, dtype=np.int32)
-    return Circuit._from_columns(
-        n, control[::step], zeros + g.target, zeros, (g.axis,), angle[::step]
-    )
+    return Circuit._from_columns(n, control, zeros + g.target, zeros, (g.axis,), angle)
+
+
+def ladder_controls(controls: tuple[int, ...], *, mirrored: bool = False) -> np.ndarray:
+    """Control column of the ladder of a UCR with these controls.
+
+    Row r holds 0 for a rotation and the CNOT's control otherwise; every
+    row acts on the UCR's target. This part of the lowering does not
+    depend on the angles.
+    """
+    k = len(controls)
+    if not k:
+        return np.zeros(1, dtype=np.int32)
+    control = np.zeros(2 << k, dtype=np.int32)
+    codes = gray_permutation(k)
+    # the flipped bit 2**b between Gray codes t and t + 1 belongs to
+    # controls[k - 1 - b]; b = popcount(2**b - 1)
+    bit = np.bitwise_count((codes ^ np.roll(codes, -1)) - 1)
+    control[1::2] = np.array(controls)[k - 1 - bit]
+    return control[::-1] if mirrored else control
+
+
+def ladder_angles(g: UcrGate, *, mirrored: bool = False) -> np.ndarray:
+    """Rotation angles of g's ladder in time order.
+
+    These are the Gray-ordered thetas of ``alpha_to_theta``, reversed for
+    the mirrored ladder; they fill the rows where the control column is 0.
+    """
+    theta = alpha_to_theta(g.angles)
+    return theta[::-1] if mirrored else theta
 
 
 def ucr_matrix(g: UcrGate, *, max_controls: int = 10) -> np.ndarray:

@@ -8,6 +8,7 @@ line:column anchors; structural errors carry the offending field path.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -30,6 +31,8 @@ def _parse_json(text: str, label: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{label}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except ValueError as e:  # an integer literal longer than int() accepts
+        raise ParseError(f"{label}: {e}") from e
 
 
 def _get(data: dict, field: str, kind: type, label: str, path: str = ""):
@@ -40,7 +43,10 @@ def _get(data: dict, field: str, kind: type, label: str, path: str = ""):
         raise ParseError(f"{where}: missing required field {field!r}")
     value = data[field]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ParseError(f"{where}: integer beyond the float range") from None
     if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
         raise ParseError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
     return value
@@ -68,7 +74,10 @@ def load_state(text: str, *, label: str = "<state>", normalize: bool = False) ->
             raise ParseError(
                 f"{label}: amplitudes[{i}]: expected a [re, im] number pair, got {entry!r}"
             )
-        amps[i] = complex(entry[0], entry[1])
+        try:
+            amps[i] = complex(entry[0], entry[1])
+        except OverflowError:
+            raise ParseError(f"{label}: amplitudes[{i}]: integer beyond the float range") from None
     if "normalize" in data:
         flag = data["normalize"]
         if not isinstance(flag, bool):
@@ -106,6 +115,8 @@ def _axis_from_json(value, label: str, path: str) -> Axis:
         )
     try:
         return Axis(float(value[1]), float(value[2]))
+    except OverflowError:
+        raise ParseError(f"{label}: {path}: integer beyond the float range") from None
     except ValueError as e:
         raise ParseError(f"{label}: {path}: {e}") from e
 
@@ -149,7 +160,7 @@ def load_circuit(text: str, *, label: str = "<circuit>") -> tuple[Circuit, dict]
             a = _axis_from_json(rec.get("axis"), label, f"{path}.axis")
             t = _get(rec, "target", int, label, f"{path}.target")
             value = _get(rec, "angle", float, label, f"{path}.angle")
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ParseError(f"{label}: {path}.angle: expected a finite number, got {value!r}")
             cnot.append(False)
             control.append(0)
@@ -161,8 +172,8 @@ def load_circuit(text: str, *, label: str = "<circuit>") -> tuple[Circuit, dict]
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError(f"{label}: metadata: expected an object")
-    circuit = Circuit._from_columns(n, control, target, axis, tuple(axes), angle)
     try:
+        circuit = Circuit._from_columns(n, control, target, axis, tuple(axes), angle)
         circuit.__post_init__(np.array(cnot, dtype=bool))
     except ValueError as e:
         raise ParseError(f"{label}: {e}") from e

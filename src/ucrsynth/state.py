@@ -53,10 +53,9 @@ def make_state(n: int, amplitudes, *, normalize: bool = False) -> StateVector:
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
-    if amps.size != 1 << n:
-        raise DimensionError(
-            f"expected 2**{n} = {1 << n} amplitudes, got {amps.size}"
-        )
+    # size == 2**n, without computing 2**n for a huge n read from a file
+    if amps.size.bit_length() != n + 1 or amps.size & (amps.size - 1):
+        raise DimensionError(f"expected 2**{n} amplitudes, got {amps.size}")
     if not np.all(np.isfinite(amps)):
         raise ValueError("amplitudes must be finite")
     sq_norm = float(np.sum(np.abs(amps) ** 2))

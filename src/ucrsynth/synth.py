@@ -9,13 +9,23 @@ rotation angle degenerates to zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import AngleSchedule, angle_schedule
-from .circuit import AXIS_Y, AXIS_Z, Circuit, UcrGate, _concat, gate_counts, lower_ucr
+from .circuit import (
+    AXIS_Y,
+    AXIS_Z,
+    Axis,
+    Circuit,
+    UcrGate,
+    gate_counts,
+    ladder_angles,
+    ladder_controls,
+)
 from .errors import DimensionError
 from .state import StateVector, phases, wrap_angle
 
@@ -93,6 +103,63 @@ def _inverse(cascade: list[UcrGate]) -> list[UcrGate]:
     return [UcrGate(g.controls, g.target, g.axis, -g.angles) for g in reversed(cascade)]
 
 
+# Most cascade skeletons kept at once. One qubit count uses up to four
+# layouts (disentangle, prepare with and without mirrored ladders,
+# prepare_from_basis); a prepare skeleton at n = 16 holds 6.3 MB.
+SKELETON_CACHE_SIZE = 8
+
+Layout = tuple[tuple[tuple[int, ...], int, Axis], ...]
+
+
+@dataclass(frozen=True)
+class _Skeleton:
+    """Everything of a compiled cascade but its angle column.
+
+    ``control``, ``target`` and ``axis`` are views of one read-only array
+    and are shared by every circuit compiled from this skeleton. ``ladders``
+    holds, per UCR, the output row of its ladder's first rotation, whether
+    the ladder is mirrored, and whether that rotation merged into the row
+    before it.
+    """
+
+    control: np.ndarray
+    target: np.ndarray
+    axis: np.ndarray
+    axes: tuple[Axis, ...]
+    ladders: tuple[tuple[int, bool, bool], ...]
+
+
+@functools.lru_cache(maxsize=SKELETON_CACHE_SIZE)
+def _skeleton(layout: Layout, mirrored: bool) -> _Skeleton:
+    """Lay every UCR's ladder out in turn and apply the seam rule (see _compile)."""
+    flips = [bool(index % 2) != mirrored for index in range(len(layout))]
+    columns = [
+        ladder_controls(controls, mirrored=flip) for (controls, _, _), flip in zip(layout, flips)
+    ]
+    base = np.zeros((3, sum(ladder.size for ladder in columns)), dtype=np.int32)
+    control, target, axis = base
+    axes: dict[Axis, int] = {}
+    rows = []
+    end = 0  # rows written so far
+    for (_, t, ax), ladder, flip in zip(layout, columns, flips):
+        a = axes.setdefault(ax, len(axes))
+        head = ladder[0], t, 0 if ladder[0] else a
+        skip = end > 0 and (control[end - 1], target[end - 1], axis[end - 1]) == head
+        merged = skip and not head[0]
+        if skip and head[0]:
+            end -= 1  # identical CNOTs cancel
+        size = ladder.size - skip
+        control[end : end + size] = ladder[skip:]
+        target[end : end + size] = t
+        axis[end : end + size] = (ladder[skip:] == 0) * a
+        # ladder row r sits at output row end - skip + r; a mirrored ladder
+        # of more than one row opens with a CNOT
+        rows.append((end - skip + (flip and ladder.size > 1), flip, merged))
+        end += size
+    base.flags.writeable = False
+    return _Skeleton(base[0, :end], base[1, :end], base[2, :end], tuple(axes), tuple(rows))
+
+
 def _compile(
     n: int, ucrs: list[UcrGate], residual: float, mirrored: bool = False
 ) -> SynthesisResult:
@@ -113,26 +180,22 @@ def _compile(
     is a pair of rotations about different axes (the z and y members of a
     pair), so nothing reduces further and the result equals simplify's
     fixpoint of the joined ladders.
+
+    None of this depends on the angles, so the gate columns are built once
+    per (UCR layout, mirrored) and cached; a call only computes each
+    ladder's rotation angles and writes them into a fresh angle column.
     """
-    ladders = [
-        lower_ucr(g, n, mirrored=bool(index % 2) != mirrored) for index, g in enumerate(ucrs)
-    ]
-    joined = _concat(n, ladders)
-    right = np.cumsum([len(c) for c in ladders[:-1]])  # first row after each seam
-    left = right - 1
-    control, target, axis = joined.control, joined.target, joined.axis
-    same = (
-        (control[left] == control[right])
-        & (target[left] == target[right])
-        & (axis[left] == axis[right])
-    )
-    merge = same & (control[left] == 0)
-    angle = joined.angle.copy()
-    angle[left[merge]] += angle[right[merge]]
-    keep = np.ones(len(joined), dtype=bool)
-    keep[right[same]] = keep[left[same & ~merge]] = False
+    layout = tuple((g.controls, g.target, g.axis) for g in ucrs)
+    skeleton = _skeleton(layout, mirrored)
+    angle = np.zeros(skeleton.control.size)
+    for g, (row, flip, merged) in zip(ucrs, skeleton.ladders):
+        theta = ladder_angles(g, mirrored=flip)
+        if merged:
+            angle[row] += theta[0]
+            row, theta = row + 2, theta[1:]
+        angle[row : row + 2 * theta.size : 2] = theta
     circuit = Circuit._from_columns(
-        n, control[keep], target[keep], axis[keep], joined.axes, angle[keep]
+        n, skeleton.control, skeleton.target, skeleton.axis, skeleton.axes, angle
     )
     return SynthesisResult(
         circuit=circuit,

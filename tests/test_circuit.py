@@ -295,3 +295,12 @@ def test_public_constructor_checks_columns():
         Circuit(2, (g,))
     with pytest.raises(ValueError, match="outside"):
         lower_ucr(UcrGate((1,), 3, AXIS_Y, [0.1, 0.2]), 2)
+
+
+def test_public_constructor_rejects_integers_beyond_the_columns():
+    # qubits are stored as int32 and angles as float64
+    for gates in ((Cnot(1, 2**31),), (Cnot(-(2**31) - 1, 1),), (Rot(AXIS_Y, 2**64, 0.1),)):
+        with pytest.raises(ValueError, match="qubit index outside 1..2"):
+            Circuit(2, gates)
+    with pytest.raises(ValueError, match="angle beyond the float range"):
+        Circuit(1, (Rot(AXIS_Y, 1, 10**400),))

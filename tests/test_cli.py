@@ -68,6 +68,25 @@ def test_non_finite_input_exit_2(tmp_path, capsys):
     assert "gates[0].angle" in capsys.readouterr().err
 
 
+def test_out_of_range_integers_exit_2(tmp_path, capsys):
+    a, b = write_states(tmp_path, n=1)
+    big = 10**400
+    state = tmp_path / "big.json"
+    state.write_text(f'{{"n": 1, "amplitudes": [[1, 0], [{big}, 0]]}}')
+    assert main(["synth", str(state), str(b)]) == 2
+    gates = [
+        f'{{"type": "rot", "axis": "y", "target": 1, "angle": {big}}}',
+        f'{{"type": "rot", "axis": [0, {big}, 0], "target": 1, "angle": 0.5}}',
+        '{"type": "cnot", "control": 1, "target": 4294967297}',
+    ]
+    for gate in gates:
+        circuit = tmp_path / "c.json"
+        circuit.write_text(f'{{"n": 1, "gates": [{gate}]}}')
+        assert main(["verify", str(circuit), str(a), str(b)]) == 2
+        assert main(["export-qasm", str(circuit)]) == 2
+    assert "c.json" in capsys.readouterr().err
+
+
 def test_synth_dimension_mismatch_exit_3(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

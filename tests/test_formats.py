@@ -81,6 +81,25 @@ def test_circuit_angle_must_be_finite():
         dump_circuit(Circuit(1, (Rot(AXIS_Y, 1, math.inf),)))
 
 
+def test_integers_beyond_range_are_parse_errors():
+    big = 10**400  # an integer literal no float can hold
+    with pytest.raises(ParseError, match=r"amplitudes\[1\]: integer beyond the float range"):
+        load_state(f'{{"n": 1, "amplitudes": [[1, 0], [{big}, 0]]}}')
+    with pytest.raises(ParseError, match="expected 2"):
+        load_state(f'{{"n": {big}, "amplitudes": [[1, 0], [0, 0]]}}')
+    with pytest.raises(ParseError, match="4300 digits"):
+        load_state('{"n": 1' + "0" * 5000 + ', "amplitudes": []}')
+    rot = '{{"n": 2, "gates": [{{"type": "rot", "axis": {}, "target": {}, "angle": {}}}]}}'
+    with pytest.raises(ParseError, match=r"gates\[0\]\.angle: integer beyond the float range"):
+        load_circuit(rot.format('"y"', 1, big))
+    with pytest.raises(ParseError, match=r"gates\[0\]\.axis: integer beyond the float range"):
+        load_circuit(rot.format(f"[0, {big}, 0]", 1, 0.5))
+    with pytest.raises(ParseError, match="qubit index outside 1..2"):
+        load_circuit(rot.format('"z"', 2**32 + 1, 0.5))
+    with pytest.raises(ParseError, match="qubit index outside 1..2"):
+        load_circuit('{"n": 2, "gates": [{"type": "cnot", "control": 2147483648, "target": 1}]}')
+
+
 def test_circuit_round_trip_exact():
     x = random_state(3, 9)
     result = disentangle(x)

@@ -29,6 +29,7 @@ from ucrsynth import (
     simplify,
     wrap_angle,
 )
+from ucrsynth.synth import SKELETON_CACHE_SIZE, _skeleton
 
 
 def full_counts(n):
@@ -270,6 +271,32 @@ def relabeled_schedule(i, b):
     return schedule
 
 
+def cascade(schedule):
+    n = schedule.n
+    ucrs = []
+    for j in range(n, 0, -1):
+        controls = tuple(range(1, j))
+        ucrs.append(UcrGate(controls, j, AXIS_Z, schedule.z_levels[n - j]))
+        ucrs.append(UcrGate(controls, j, AXIS_Y, schedule.y_levels[n - j]))
+    return ucrs
+
+
+def inverse(ucrs):
+    return [UcrGate(g.controls, g.target, g.axis, -g.angles) for g in reversed(ucrs)]
+
+
+def simplified_ladders(n, ucrs, mirrored=False):
+    """simplify over every UCR's ladder, the second of each pair mirrored."""
+    gates = []
+    for index, g in enumerate(ucrs):
+        gates += lower_ucr(g, n, mirrored=(index % 2 == 1) != mirrored).gates
+    return simplify(Circuit(n, tuple(gates)))
+
+
+def angle_bits(c):
+    return [g.angle.hex() for g in c.gates if isinstance(g, Rot)]
+
+
 def mean_phase(x):
     return float(np.sum(phases(x))) / x.dim
 
@@ -306,3 +333,48 @@ def test_single_path_matches_lowered_halves_joined_by_dagger():
                 assert result.circuit.gates == expect.gates
                 assert result.counts == gate_counts(expect)
                 assert result.residual_phase == wrap_angle(residual)
+
+
+def test_skeleton_cache_reuse_and_eviction():
+    # four layouts per qubit count, two state pairs each, n = 1..9 visited
+    # twice: more layouts than the cache holds, so results come from built,
+    # reused and rebuilt skeletons
+    assert 4 * 9 > SKELETON_CACHE_SIZE >= 4
+    before = _skeleton.cache_info()
+    rng = np.random.default_rng(31)
+    for n in [*range(1, 10)] * 2:
+        for _ in range(2):
+            a, b = (random_state(n, int(seed)) for seed in rng.integers(1 << 30, size=2))
+            i = int(rng.integers(1 << n))
+            schedule_a, schedule_b = angle_schedule(a), angle_schedule(b)
+            ucrs = cascade(schedule_a) + inverse(cascade(schedule_b))
+            cases = [
+                (prepare(a, b), simplified_ladders(n, ucrs)),
+                (prepare_from_basis(i, b),
+                 simplified_ladders(n, inverse(cascade(relabeled_schedule(i, b))))),
+                (prepare(a, b, mirrored=True), simplified_ladders(n, ucrs, mirrored=True)),
+                (disentangle(a), simplified_ladders(n, cascade(schedule_a))),
+            ]
+            for result, expect in cases:
+                assert result.circuit == expect
+                assert angle_bits(result.circuit) == angle_bits(expect)
+    after = _skeleton.cache_info()
+    # the second pair of each visit reuses four skeletons; every layout was
+    # evicted before its second visit and is rebuilt then
+    assert after.hits - before.hits >= 4 * 18
+    assert after.misses - before.misses >= 4 * 9
+    assert after.currsize == SKELETON_CACHE_SIZE
+
+
+def test_results_cannot_write_the_shared_skeleton():
+    a, b = random_state(3, 1), random_state(3, 2)
+    first, second = prepare(a, b).circuit, prepare(b, a).circuit
+    for name in ("control", "target", "axis"):
+        column = getattr(first, name)
+        assert np.shares_memory(column, getattr(second, name))
+        with pytest.raises(ValueError):
+            column.flags.writeable = True
+        with pytest.raises(ValueError):
+            column[0] = 0
+    assert not np.shares_memory(first.angle, second.angle)
+    assert prepare(a, b).circuit == first

@@ -13,26 +13,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucrsynth import (
-    AXIS_Y,
-    AXIS_Z,
-    Circuit,
-    Rot,
-    UcrGate,
     angle_schedule,
     apply_circuit,
     basis_state,
     bounds,
     disentangle,
-    lower_ucr,
     make_state,
     phases,
     prepare,
     prepare_from_basis,
-    simplify,
     wrap_angle,
 )
 
-from test_synth import full_counts, half_counts, relabeled_schedule
+from test_synth import (
+    angle_bits,
+    cascade,
+    full_counts,
+    half_counts,
+    inverse,
+    relabeled_schedule,
+    simplified_ladders,
+)
 
 KINDS = ("haar", "nonnegative", "basis", "zeros")
 
@@ -62,34 +63,8 @@ def cases(draw):
     return n, kind_a, a, kind_b, b, draw(st.integers(0, (1 << n) - 1))
 
 
-def cascade(schedule):
-    n = schedule.n
-    ucrs = []
-    for j in range(n, 0, -1):
-        controls = tuple(range(1, j))
-        ucrs.append(UcrGate(controls, j, AXIS_Z, schedule.z_levels[n - j]))
-        ucrs.append(UcrGate(controls, j, AXIS_Y, schedule.y_levels[n - j]))
-    return ucrs
-
-
-def inverse(ucrs):
-    return [UcrGate(g.controls, g.target, g.axis, -g.angles) for g in reversed(ucrs)]
-
-
-def simplified_ladders(n, ucrs, mirrored=False):
-    """simplify over every UCR's ladder, the second of each pair mirrored."""
-    gates = []
-    for index, g in enumerate(ucrs):
-        gates += lower_ucr(g, n, mirrored=(index % 2 == 1) != mirrored).gates
-    return simplify(Circuit(n, tuple(gates)))
-
-
 def mean_phase(x):
     return float(np.sum(phases(x))) / x.dim
-
-
-def angle_bits(c):
-    return [g.angle.hex() for g in c.gates if isinstance(g, Rot)]
 
 
 def results(a, b, i):
