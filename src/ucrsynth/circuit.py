@@ -97,6 +97,10 @@ class UcrGate:
             raise ValueError(
                 f"expected {1 << self.k} angles for {self.k} controls, got {self.angles.size}"
             )
+        if self.angles.ndim != 1:
+            raise ValueError(f"angles must be one-dimensional, got shape {self.angles.shape}")
+        if not np.isfinite(self.angles).all():
+            raise ValueError("angles must be finite")
 
     @property
     def k(self) -> int:
@@ -150,12 +154,15 @@ class Circuit:
         self.angle = _column(angle, np.float64, "angle beyond the float range")
 
     def __post_init__(self, cnot: np.ndarray) -> None:
-        """Boundary check: CNOT control != target, qubits in 1..n, finite angles.
+        """Boundary check: n >= 1, CNOT control != target, qubits in 1..n,
+        finite angles.
 
         ``cnot`` marks the CNOT rows, since a CNOT read with control 0 is
         indistinguishable from a rotation in the columns alone.
         """
         n, control, target = self.n, self.control, self.target
+        if n < 1:
+            raise ValueError(f"qubit count must be >= 1, got {n}")
         coincide = cnot & (control == target)
         if coincide.any():
             q = int(control[np.argmax(coincide)])

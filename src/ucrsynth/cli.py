@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import json
 import math
+import os
+import platform
 import sys
 import time
 from dataclasses import asdict
@@ -32,6 +35,9 @@ EXIT_EXPORT = 4
 
 # Allowed infidelity: a circuit passes iff its simulated fidelity >= 1 - this.
 TOLERANCE = 1e-9
+
+# bench --json reports the best of this many timed calls.
+BENCH_REPEATS = 5
 
 
 def _read(path: str) -> str:
@@ -121,12 +127,53 @@ def cmd_export_qasm(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _machine() -> dict:
+    """CPU count and model, Python and numpy versions."""
+    model = None
+    try:
+        with open("/proc/cpuinfo") as f:
+            names = (line.split(":", 1)[1] for line in f if line.startswith("model name"))
+            model = next(names, "").strip() or None
+    except OSError:
+        pass
+    return {
+        "cpu_count": os.cpu_count(),
+        "cpu_model": model or platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def _best_of(repeats: int, call) -> float:
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _append_run(path: str, run: dict) -> None:
+    """Add one run to the {"runs": [...]} record at path, creating it if absent."""
+    doc = {"runs": []}
+    if Path(path).exists():
+        try:
+            doc = json.loads(_read(path))
+        except ValueError as e:
+            raise ParseError(f"{path}: {e}") from e
+        if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
+            raise ParseError(f'{path}: expected an object with a "runs" list')
+    doc["runs"].append(run)
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     header = (
         f"{'n':>3} {'cnot':>7} {'rot':>7} {'cnot_up':>8} {'rot_up':>7} "
         f"{'cnot_lo':>8} {'rot_lo':>7} {'qr_cnot':>8} {'time_s':>8}"
     )
     print(header)
+    rows = []
     for n in range(1, args.n_max + 1):
         a = random_state(n, args.seed + 2 * n)
         b = random_state(n, args.seed + 2 * n + 1)
@@ -140,6 +187,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"{limits.lower_cnot:>8} {limits.lower_rot:>7} "
             f"{int(limits.qr_comparison_cnot):>8} {elapsed:>8.3f}"
         )
+        if args.json:
+            circuit = result.circuit
+            rows.append(
+                {
+                    "n": n,
+                    "cnot": counts["cnot"],
+                    "rot": counts["rot"],
+                    "cnot_up": limits.upper_cnot,
+                    "rot_up": limits.upper_rot,
+                    "prepare_s": _best_of(BENCH_REPEATS, lambda: prepare(a, b)),
+                    "apply_circuit_s": _best_of(BENCH_REPEATS, lambda: apply_circuit(a, circuit)),
+                }
+            )
+    if args.json:
+        run = {
+            "label": args.label,
+            "machine": _machine(),
+            "seed": args.seed,
+            "repeats": BENCH_REPEATS,
+            "rows": rows,
+        }
+        _append_run(args.json, run)
     return EXIT_OK
 
 
@@ -193,6 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="synthesize random pairs and tabulate counts")
     bench.add_argument("--n-max", type=int, default=8, help="largest qubit count")
     bench.add_argument("--seed", type=int, default=0, help="random state seed")
+    bench.add_argument(
+        "--json",
+        metavar="PATH",
+        help="append a run (machine, counts against the bounds, best-of-5 times "
+        "of prepare and apply_circuit per n) to the JSON record at PATH",
+    )
+    bench.add_argument("--label", default=None, help="name of the run in the --json record")
     bench.set_defaults(func=cmd_bench)
     return parser
 

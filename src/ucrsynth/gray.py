@@ -5,6 +5,13 @@ CNOT ladder whose rotation angles ``theta`` satisfy ``theta = M alpha``
 with ``M[i, j] = 2**-k * (-1)**(popcount(j & gray(i)))``. The sign matrix
 ``S = 2**k * M`` is orthogonal up to scale (``S @ S.T = 2**k * I``), so the
 inverse transform is simply ``2**k * M.T``.
+
+Both directions, and the simulator's per-run phase tables, go through one
+unnormalized Walsh-Hadamard transform, ``_fwht``. It applies the 4x4 +-1
+Hadamard matrix along each 2-bit group of the index as a matrix product,
+and a 2x2 one to the top bit when k is odd. Each output of a 4x4 block sums
+at most two equal terms per sign, so a constant input transforms to exact
+zeros past entry 0 in whatever order the product sums.
 """
 
 from __future__ import annotations
@@ -41,18 +48,37 @@ def alpha_to_theta_dense(alpha: np.ndarray) -> np.ndarray:
     return sign_matrix(k).astype(np.float64) @ alpha / (1 << k)
 
 
+def _hadamard(k: int) -> np.ndarray:
+    """Natural-order +-1 Hadamard matrix of size 2**k."""
+    h = np.ones((1, 1))
+    for _ in range(k):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+# Blocks of 4: a 16x16 block sums eight equal terms per sign and leaves
+# rounding residues of about 1e-16 times a constant input.
+_H = tuple(_hadamard(k) for k in range(3))
+
+
 def _fwht(values: np.ndarray) -> np.ndarray:
-    """In-place unnormalized Walsh-Hadamard transform, natural ordering."""
-    h = 1
-    size = values.size
-    while h < size:
-        v = values.reshape(-1, 2, h)
-        top = v[:, 0, :] + v[:, 1, :]
-        bottom = v[:, 0, :] - v[:, 1, :]
-        v[:, 0, :] = top
-        v[:, 1, :] = bottom
-        h *= 2
-    return values
+    """Unnormalized Walsh-Hadamard transform, natural ordering, as a new array.
+
+    ``values`` is 1-D of length 2**k and is not modified. Index bits 0-1
+    go through one (2**k / 4, 4) @ H product; every further 2-bit group
+    is a stack of H @ (4, low) products, and an odd top bit a 2x2 one.
+    """
+    k = values.size.bit_length() - 1
+    if k < 2:
+        return _H[k] @ values
+    out = values.reshape(-1, 4) @ _H[2]
+    low = 4
+    for _ in range(k // 2 - 1):
+        out = _H[2] @ out.reshape(-1, 4, low)
+        low <<= 2
+    if k % 2:
+        out = _H[1] @ out.reshape(2, low)
+    return out.reshape(-1)
 
 
 def gray_permutation(k: int) -> np.ndarray:
@@ -62,14 +88,14 @@ def gray_permutation(k: int) -> np.ndarray:
 
 
 def alpha_to_theta(alpha: np.ndarray) -> np.ndarray:
-    """Fast O(k 2**k) transform: Walsh-Hadamard butterfly + Gray reorder.
+    """Fast O(k 2**k) transform: Walsh-Hadamard transform + Gray reorder.
 
     Since M[i, j] = 2**-k * (-1)**(gray(i) . j), the i-th output is the
     Hadamard transform of alpha read out at position gray(i).
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     k = _check_power_of_two(alpha.size)
-    spectrum = _fwht(alpha.copy())
+    spectrum = _fwht(alpha)
     return spectrum[gray_permutation(k)] / (1 << k)
 
 

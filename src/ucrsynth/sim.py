@@ -12,9 +12,15 @@ because X R_a(theta) X = R_a(-theta) for every y-z axis. phi is the
 Walsh-Hadamard transform of the run's rotation angles bucketed by the
 CNOT-control mask in force at each rotation, and s(p) is the parity of p
 against the mask at the end of the run: the UCR ladder identity read
-backwards. A run costs one transform and one pass over the amplitudes,
-for any gate list. ``apply_gate`` applies one gate by its 2x2 matrix and
-is the per-gate oracle the fused pass is tested against.
+backwards. The masks hold each control at its bit of the amplitude
+index. When the controls are consecutive qubits, as in every synthesized
+ladder, a rotation's bucket is then one shift of its mask and the phase
+table reshapes straight onto the control axes; other control sets gather
+the bits one by one. X**s(p) is one CNOT swap per control in the closing
+mask. A run costs one transform, one in-place pass over the amplitudes
+and those swaps, for any gate list. ``apply_gate`` applies one gate by
+its 2x2 matrix and is the per-gate oracle the fused pass is tested
+against.
 """
 
 from __future__ import annotations
@@ -62,45 +68,60 @@ def _apply_run(
     axis: Axis | None,
     used: int,
     final: int,
-    masks: list[int],
-    angles: list[float],
+    masks: np.ndarray,
+    angles: np.ndarray,
 ) -> None:
-    """Apply one run in place; masks are bitsets of control qubit numbers.
+    """Apply one run in place; masks hold each control at its index bit.
 
-    ``used`` holds every control of the run, ``final`` the mask after its
-    last CNOT, and ``masks[j]`` the mask in force at rotation ``j``.
+    Control qubit q is bit n_bits - q, as in the amplitude index. ``used``
+    holds every control of the run, ``final`` the mask after its last
+    CNOT, and ``masks[j]`` the mask in force at rotation ``j``.
     """
-    controls = [q for q in range(1, view.ndim + 1) if used >> q & 1]
-    k = len(controls)
-    raw = np.array(masks, dtype=np.int64)
-    pattern = np.zeros(raw.size, dtype=np.intp)
-    flip_mask = 0
-    for q in controls:
-        pattern = (pattern << 1) | ((raw >> q) & 1)
-        flip_mask = (flip_mask << 1) | (final >> q & 1)
-    buckets = np.bincount(pattern, weights=np.array(angles, dtype=np.float64), minlength=1 << k)
-    half = 0.5 * _fwht(buckets)
-    cos_h = np.cos(half)
-    sin_h = np.sin(half)
-    ay, az = (axis.ay, axis.az) if axis is not None else (0.0, 0.0)
-    r00 = cos_h + 1j * (az * sin_h)
-    r01 = ay * sin_h
-    rows = np.array([[r00, r01], [-r01, np.conj(r00)]])
-    flip = (np.bitwise_count(np.arange(1 << k) & flip_mask) & 1).astype(bool)
-    top = np.where(flip, rows[1], rows[0])
-    bottom = np.where(flip, rows[0], rows[1])
-    # the target axis drops out of the pair views; controls keep their order
-    shape = [1] * (view.ndim - 1)
-    for q in controls:
-        shape[q - 1 if q < target else q - 2] = 2
-    top = top.reshape(2, *shape)
-    bottom = bottom.reshape(2, *shape)
-    lead = (slice(None),) * (target - 1)
-    a0 = view[lead + (0,)]
-    a1 = view[lead + (1,)]
-    new0 = top[0] * a0 + top[1] * a1
-    view[lead + (1,)] = bottom[0] * a0 + bottom[1] * a1
-    view[lead + (0,)] = new0
+    n_bits = view.ndim
+    bits = [b for b in range(n_bits) if used >> b & 1]
+    k = len(bits)
+    if axis is not None:
+        # bucket bit i is control bits[i], so the (2,) * k phase table lists
+        # the controls in qubit order, as the pair views below do
+        lo = bits[0] if k else 0
+        if used >> lo == (1 << k) - 1:  # consecutive qubits: every ladder
+            pattern = (masks >> lo) & ((1 << k) - 1)
+        else:
+            pattern = np.zeros(masks.size, dtype=np.int64)
+            for i, b in enumerate(bits):
+                pattern |= ((masks >> b) & 1) << i
+        half = 0.5 * _fwht(np.bincount(pattern, weights=angles, minlength=1 << k))
+        # the target axis drops out of the pair views
+        shape = [1] * (n_bits - 1)
+        for b in bits:
+            q = n_bits - b
+            shape[q - 1 if q < target else q - 2] = 2
+        cos_h = np.cos(half).reshape(shape)
+        sin_h = np.sin(half).reshape(shape)
+        lead = (slice(None),) * (target - 1)
+        a0 = view[lead + (0, ...)]
+        a1 = view[lead + (1, ...)]
+        if axis.az:
+            r00 = cos_h + 1j * (axis.az * sin_h)
+            r11 = r00.conj()
+        else:
+            r00 = r11 = cos_h
+        if axis.ay:
+            r01 = axis.ay * sin_h
+            off0 = a1 * r01
+            off1 = a0 * r01
+            a0 *= r00
+            a0 += off0
+            a1 *= r11
+            a1 -= off1
+        else:
+            a0 *= r00
+            a1 *= r11
+    # X**parity(p & final) on the target is one CNOT per control in final
+    flat = view.reshape(-1)
+    for b in bits:
+        if final >> b & 1:
+            _cnot(flat, b, n_bits - target)
 
 
 def _apply_fused(amps: np.ndarray, c: Circuit, n_bits: int) -> None:
@@ -119,11 +140,12 @@ def _apply_fused(amps: np.ndarray, c: Circuit, n_bits: int) -> None:
     prev, cur = rots[:-1], rots[1:]
     new_run[cur[(c.axis[cur] != c.axis[prev]) & (segment[cur] == segment[prev])]] = True
     starts = np.flatnonzero(new_run)
-    # rotations (control 0) toggle bit 0, which no qubit reads
-    bits = np.left_shift(1, c.control, dtype=np.int64)
+    # a CNOT toggles its control's index bit; a rotation (control 0) toggles
+    # bit n_bits, which no qubit reads
+    bits = np.left_shift(1, n_bits - c.control, dtype=np.int64)
     mask = np.bitwise_xor.accumulate(bits)  # running control mask from row 0
     before = mask[starts] ^ bits[starts]
-    used = np.bitwise_or.reduceat(bits, starts)
+    used = np.bitwise_or.reduceat(bits, starts) & ((1 << n_bits) - 1)
     final = np.bitwise_xor.reduceat(bits, starts)
     bounds = np.searchsorted(rots, np.append(starts, len(c)))
     for j, start in enumerate(starts.tolist()):

@@ -92,6 +92,27 @@ def test_ucr_gate_validation():
         UcrGate((1, 2), 3, AXIS_Y, [0.1] * 3)
 
 
+def test_circuit_needs_a_qubit():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"qubit count must be >= 1, got {n}"):
+            Circuit(n, [])
+
+
+def test_ucr_gate_angles_are_finite_and_one_dimensional():
+    # neither reaches lower_ucr: NaN used to flow into the ladder angles, a
+    # 2-D array used to raise IndexError there
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            UcrGate((1,), 2, AXIS_Y, [bad, 1.0])
+    with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
+        UcrGate((1, 2), 3, AXIS_Y, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"one-dimensional, got shape \(\)"):
+        UcrGate((), 1, AXIS_Y, 0.5)
+    # a wrong count keeps its message, whatever the shape
+    with pytest.raises(ValueError, match="expected 4 angles for 2 controls, got 6"):
+        UcrGate((1, 2), 3, AXIS_Y, np.zeros((2, 3)))
+
+
 def test_lower_ucr_k0():
     c = lower_ucr(UcrGate((), 1, AXIS_Y, [0.7]))
     assert c.gates == (Rot(AXIS_Y, 1, 0.7),)

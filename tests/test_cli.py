@@ -87,6 +87,17 @@ def test_out_of_range_integers_exit_2(tmp_path, capsys):
     assert "c.json" in capsys.readouterr().err
 
 
+def test_circuit_without_qubits_exit_2(tmp_path, capsys):
+    a, b = write_states(tmp_path, n=1)
+    circuit = tmp_path / "c.json"
+    circuit.write_text('{"n": -3, "gates": []}')
+    assert main(["export-qasm", str(circuit)]) == 2
+    assert main(["verify", str(circuit), str(a), str(b)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "qubit count must be >= 1, got -3" in captured.err
+
+
 def test_synth_dimension_mismatch_exit_3(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -266,6 +277,28 @@ def test_bench_table(capsys):
     n4 = lines[-1].split()
     assert n4[:5] == ["4", "44", "59", "44", "59"]
     assert n4[7] == "201"
+
+
+def test_bench_json_record(tmp_path, capsys):
+    record = tmp_path / "bench.json"
+    assert main(["bench", "--n-max", "4", "--seed", "3"]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    labelled = ["--json", str(record), "--label", "a"]
+    assert main(["bench", "--n-max", "4", "--seed", "3", *labelled]) == 0
+    table = capsys.readouterr().out.splitlines()
+    # the table keeps its columns; only the time column may differ
+    assert [line.split()[:-1] for line in table] == [line.split()[:-1] for line in plain]
+    assert main(["bench", "--n-max", "2", "--json", str(record)]) == 0
+    runs = json.loads(record.read_text())["runs"]
+    assert [(run["label"], len(run["rows"])) for run in runs] == [("a", 4), (None, 2)]
+    assert set(runs[0]["machine"]) == {"cpu_count", "cpu_model", "python", "numpy"}
+    n4 = runs[0]["rows"][-1]
+    assert (n4["n"], n4["cnot"], n4["rot"], n4["cnot_up"], n4["rot_up"]) == (4, 44, 59, 44, 59)
+    assert n4["prepare_s"] > 0 and n4["apply_circuit_s"] > 0
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1]")
+    assert main(["bench", "--n-max", "1", "--json", str(bad)]) == 2
+    assert bad.read_text() == "[1]"
 
 
 def test_bench_nmax_cap(capsys):

@@ -137,6 +137,12 @@ def test_circuit_parse_errors():
         load_circuit('{"n": 1, "gates": [], "metadata": 7}')
 
 
+def test_circuit_file_needs_a_qubit():
+    for n in (0, -3):
+        with pytest.raises(ParseError, match=f"qubit count must be >= 1, got {n}"):
+            load_circuit(f'{{"n": {n}, "gates": []}}')
+
+
 def test_qasm_empty_circuit():
     text = export_qasm(Circuit(2))
     assert text.splitlines() == [

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ucrsynth import (
     alpha_to_theta,
@@ -98,3 +100,40 @@ def test_rejects_non_power_of_two():
         alpha_to_theta(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         theta_to_alpha(np.array([]))
+
+
+@st.composite
+def angle_vectors(draw, max_k=11):
+    """(kind, alpha) with 2**k entries, k = 0..max_k: uniform random, sparse
+    (each entry nonzero with probability at most 0.2), or one constant."""
+    k = draw(st.integers(0, max_k))
+    kind = draw(st.sampled_from(("random", "sparse", "constant")))
+    if kind == "constant":
+        return kind, np.full(1 << k, draw(st.floats(-2 * math.pi, 2 * math.pi)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = rng.uniform(-math.pi, math.pi, 1 << k)
+    if kind == "sparse":
+        alpha[rng.random(1 << k) >= draw(st.floats(0.0, 0.2))] = 0.0
+    return kind, alpha
+
+
+@settings(deadline=None, max_examples=60)
+@given(angle_vectors())
+@example(("constant", np.full(1 << 11, 0.1)))
+@example(("constant", np.full(1 << 5, 0.3)))
+def test_fast_matches_dense_across_blocks(case):
+    kind, alpha = case
+    theta = alpha_to_theta(alpha)
+    assert np.abs(theta - alpha_to_theta_dense(alpha)).max() <= 1e-12
+    if kind == "constant":
+        # a constant level is one uncontrolled rotation: every other angle
+        # is exactly zero, so pruning at any epsilon removes them
+        assert np.all(theta[1:] == 0.0)
+
+
+def test_round_trip_large_k():
+    rng = np.random.default_rng(5)
+    for k in range(12, 17):
+        alpha = rng.uniform(-math.pi, math.pi, 1 << k)
+        back = theta_to_alpha(alpha_to_theta(alpha))
+        assert np.abs(back - alpha).max() <= 1e-12 * np.abs(alpha).max()

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from ucrsynth import (
@@ -239,3 +239,71 @@ def test_simplify_is_idempotent(c, prune):
 def test_simplify_preserves_unitary(c):
     u = circuit_unitary(c)
     assert np.abs(circuit_unitary(simplify(c)) - u).max() <= 1e-12
+
+
+@st.composite
+def ladders(draw, max_n=7, max_ucrs=4):
+    """Concatenated lower_ucr ladders of random UCRs, some cut short.
+
+    Controls are consecutive qubits on one side of the target (as in the
+    synthesized cascades) or any subset in any order. Ladders use both
+    mirror settings and y, z and general axes. A ladder cut after two
+    CNOTs leaves a run that closes with a two-control mask.
+    """
+    n = draw(st.integers(1, max_n))
+    gates = []
+    for _ in range(draw(st.integers(1, max_ucrs))):
+        target = draw(st.integers(1, n))
+        if draw(st.booleans()):
+            side = draw(st.sampled_from([range(1, target), range(target + 1, n + 1)]))
+            start = draw(st.integers(0, len(side)))
+            controls = tuple(side[start : draw(st.integers(start, len(side)))])
+        else:
+            others = [q for q in range(1, n + 1) if q != target]
+            controls = tuple(draw(st.permutations(others))[: draw(st.integers(0, n - 1))])
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        angles = rng.uniform(-math.pi, math.pi, 1 << len(controls))
+        ladder = lower_ucr(UcrGate(controls, target, draw(AXES), angles), n,
+                           mirrored=draw(st.booleans())).gates
+        gates += ladder[: draw(st.integers(1, len(ladder)))] if draw(st.booleans()) else ladder
+    return Circuit(n, tuple(gates))
+
+
+def widest_flip(c):
+    """Most controls in the closing CNOT mask of any run of c.
+
+    A run ends where the target changes or a rotation changes axis, as in
+    apply_circuit; this is the run rule written out gate by gate.
+    """
+    widest, mask, target, axis = 0, 0, None, None
+    for g in c.gates:
+        if g.target != target or isinstance(g, Rot) and axis not in (None, g.axis):
+            widest = max(widest, mask.bit_count())
+            mask, target, axis = 0, g.target, None
+        if isinstance(g, Cnot):
+            mask ^= 1 << g.control
+        else:
+            axis = g.axis
+    return max(widest, mask.bit_count())
+
+
+# R Cnot(3, 4) R Cnot(2, 4), cut from a ladder, then a gate on another target
+CUT_LADDER = Circuit(
+    4,
+    lower_ucr(UcrGate((1, 2, 3), 4, AXIS_Y, np.linspace(-1.0, 1.0, 8))).gates[:4]
+    + (Rot(AXIS_Z, 1, 0.3),),
+)
+
+
+@settings(deadline=None)
+@given(ladders(), st.integers(0, 2**32 - 1))
+@example(CUT_LADDER, 2)
+def test_fused_ladders_match_per_gate_fold(c, seed):
+    x = random_state(c.n, seed)
+    fused = apply_circuit(x, c)
+    assert np.abs(fused.amplitudes - fold(x, c).amplitudes).max() <= 1e-12
+
+
+def test_ladder_strategy_reaches_wide_flips():
+    assert widest_flip(CUT_LADDER) == 2
+    find(ladders(), lambda c: widest_flip(c) >= 3)

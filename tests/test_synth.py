@@ -136,6 +136,21 @@ def test_prepare_counts_and_fidelity():
         assert abs(wrap_angle(math.atan2(ov.imag, ov.real) - result.residual_phase)) <= 1e-9
 
 
+def test_certify_prepare_at_n14():
+    # the widest UCRs have k = 13 controls: six 2-bit groups of the
+    # transform plus its odd top bit, and simulator runs with 13 controls
+    n = 14
+    a = random_state(n, 1400)
+    b = random_state(n, 1401)
+    result = prepare(a, b)
+    assert result.counts == full_counts(n)
+    expect = wrap_angle(float(np.sum(phases(a))) / a.dim - float(np.sum(phases(b))) / b.dim)
+    assert abs(wrap_angle(result.residual_phase - expect)) <= 1e-12
+    ov = overlap(result.circuit, a, b)
+    assert abs(ov) >= 1.0 - 1e-9
+    assert abs(wrap_angle(math.atan2(ov.imag, ov.real) - result.residual_phase)) <= 1e-9
+
+
 def test_prepare_mirrored_realization():
     # mirrored ladders keep rotations and exactness, lose the 4(n - 1)
     # boundary-CNOT cancellations between the z and y stage members
