@@ -66,19 +66,16 @@ def z_angles(x: StateVector) -> list[np.ndarray]:
     return levels
 
 
-def y_angles(x: StateVector, tree: NormTree | None = None) -> list[np.ndarray]:
+def y_angles(x: StateVector) -> list[np.ndarray]:
     """Magnitude-zeroing angles, level 1..n.
 
     Level k, block j: 2 * asin(norm of half-block 2j / norm of block j).
     A zero denominator yields angle 0 (rotating a zero block is a no-op);
     the asin argument is clamped against floating-point overshoot.
     """
-    if tree is None:
-        tree = norm_tree(x)
     child = np.abs(x.amplitudes)
     levels = []
-    for k in range(1, x.n + 1):
-        parent = tree.levels[k - 1]
+    for parent in norm_tree(x).levels:
         numerator = child.reshape(-1, 2)[:, 1]
         ratio = numerator / np.where(parent > 0.0, parent, 1.0)
         ratio = np.where(parent > 0.0, ratio, 0.0)

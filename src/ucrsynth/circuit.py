@@ -322,37 +322,28 @@ def dagger(c: Circuit) -> Circuit:
     )
 
 
-def simplify(c: Circuit, *, prune_atol: float = 0.0, prune: bool = False) -> Circuit:
+def simplify(c: Circuit, *, prune_atol: float | None = None) -> Circuit:
     """Peephole simplification to fixpoint, preserving the circuit unitary.
 
-    Rules, applied to consecutive gates in the list: adjacent identical
-    CNOTs cancel; adjacent rotations with the same axis and target merge by
-    angle addition. Rotations with |angle| <= prune_atol are dropped only
-    when ``prune`` is set; pruning is off by default so gate counts stay at
-    the generic closed-form values (a merge to angle 0 keeps its gate).
-
-    One stack pass reaches the fixpoint: every reduction re-exposes the
-    previous gate, which is re-checked before anything new is pushed, so
-    the stack never holds a reducible adjacent pair.
+    A row reduces with the stack top iff their (control, target, axis) agree,
+    as CNOT rows carry axis 0: identical CNOTs cancel, and rotations about one
+    axis on one target merge by angle addition. Rotations with
+    |angle| <= prune_atol after merging are dropped; None (the default) prunes
+    nothing, so generic counts keep their closed-form values. No two adjacent
+    stack rows share a key, so one pass reaches the fixpoint.
     """
-    atol = prune_atol if prune else None
-    out: list[Gate] = []
-    for g in c.gates:
-        reduced: Gate | None = g
-        while reduced is not None:
-            top = out[-1] if out else None
-            if isinstance(reduced, Cnot):
-                if top == reduced:
-                    out.pop()
-                    reduced = None
-                break
-            if isinstance(top, Rot) and top.axis == reduced.axis and top.target == reduced.target:
-                out.pop()
-                reduced = Rot(reduced.axis, reduced.target, top.angle + reduced.angle)
-                continue
-            if atol is not None and abs(reduced.angle) <= atol:
-                reduced = None
-            break
-        if reduced is not None:
-            out.append(reduced)
-    return Circuit(c.n, tuple(out))
+    keys: list[tuple[int, int, int]] = []
+    angles: list[float] = []
+    rows = zip(c.control.tolist(), c.target.tolist(), c.axis.tolist())
+    for key, angle in zip(rows, c.angle.tolist()):
+        if keys and keys[-1] == key:
+            keys.pop()
+            angle += angles.pop()
+            if key[0]:
+                continue  # identical CNOTs cancel
+        if prune_atol is not None and not key[0] and abs(angle) <= prune_atol:
+            continue
+        keys.append(key)
+        angles.append(angle)
+    control, target, axis = np.array(keys, dtype=np.int32).reshape(-1, 3).T
+    return Circuit._from_columns(c.n, control, target, axis, c.axes, angles)

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: synth, verify, export-qasm, bench. Exit codes are fixed for
-scripting: 0 success, 1 verification failure, 2 parse failure, 3 dimension
-mismatch, 4 export failure.
+scripting: 0 success, 1 verification failure, 2 parse or usage failure,
+3 dimension mismatch, 4 export failure (or an unwritable output file).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,8 @@ EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_EXPORT = 4
+# The exit code of each error a command may raise.
+ERROR_EXITS = {ParseError: EXIT_PARSE, DimensionError: EXIT_DIMENSION, ExportError: EXIT_EXPORT}
 
 # Allowed infidelity: a circuit passes iff its simulated fidelity >= 1 - this.
 TOLERANCE = 1e-9
@@ -45,6 +47,26 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as e:
         raise ParseError(f"{path}: {e.strerror or e}") from e
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise ExportError(f"{path}: {e.strerror or e}") from e
+
+
+def _in_range(convert, low, high=math.inf):
+    """argparse type: ``convert``, then require low <= value < high (NaN fails)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"expected {low} <= value < {high}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's wording: "invalid float value"
+    return parse
 
 
 def _load_state_file(path: str, normalize: bool) -> StateVector:
@@ -75,20 +97,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     b = _load_state_file(args.input_b, args.normalize)
     result = prepare(a, b, mirrored=args.mirror)
     if args.prune_epsilon is not None:
-        pruned = simplify(result.circuit, prune_atol=args.prune_epsilon, prune=True)
-        result = SynthesisResult(
-            circuit=pruned,
-            residual_phase=result.residual_phase,
-            counts=gate_counts(pruned),
-            bounds=result.bounds,
-        )
+        pruned = simplify(result.circuit, prune_atol=args.prune_epsilon)
+        result = replace(result, circuit=pruned, counts=gate_counts(pruned))
     _print_report(result)
     fidelity = abs(complex(np.vdot(b.amplitudes, apply_circuit(a, result.circuit).amplitudes)))
     print(f"fidelity {fidelity!r}")
     if args.json:
-        Path(args.json).write_text(dump_circuit(result.circuit, _metadata(result)))
+        _write(args.json, dump_circuit(result.circuit, _metadata(result)))
     if args.qasm:
-        Path(args.qasm).write_text(export_qasm(result.circuit))
+        _write(args.qasm, export_qasm(result.circuit))
     if fidelity < 1.0 - TOLERANCE:
         print(f"error: fidelity below threshold {1.0 - TOLERANCE!r}", file=sys.stderr)
         return EXIT_VERIFY
@@ -121,7 +138,7 @@ def cmd_export_qasm(args: argparse.Namespace) -> int:
     circuit, _ = load_circuit(_read(args.circuit), label=args.circuit)
     text = export_qasm(circuit)
     if args.qasm:
-        Path(args.qasm).write_text(text)
+        _write(args.qasm, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -164,7 +181,7 @@ def _append_run(path: str, run: dict) -> None:
         if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
             raise ParseError(f'{path}: expected an object with a "runs" list')
     doc["runs"].append(run)
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    _write(path, json.dumps(doc, indent=1) + "\n")
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -226,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--normalize", action="store_true", help="rescale input states")
     synth.add_argument(
         "--prune-epsilon",
-        type=float,
+        type=_in_range(float, 0),
         default=None,
         metavar="EPS",
         help="drop rotations with |angle| <= EPS after synthesis",
@@ -248,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--normalize", action="store_true", help="rescale input states")
     verify.add_argument(
         "--tolerance",
-        type=float,
+        type=_in_range(float, 0),
         default=TOLERANCE,
         help="allowed infidelity; pass iff fidelity >= 1 - tolerance",
     )
@@ -260,8 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     export.set_defaults(func=cmd_export_qasm)
 
     bench = sub.add_parser("bench", help="synthesize random pairs and tabulate counts")
-    bench.add_argument("--n-max", type=int, default=8, help="largest qubit count")
-    bench.add_argument("--seed", type=int, default=0, help="random state seed")
+    bench.add_argument(
+        "--n-max", type=_in_range(int, 1, 21), default=8, help="largest qubit count, 1..20"
+    )
+    bench.add_argument("--seed", type=_in_range(int, 0), default=0, help="random state seed")
     bench.add_argument(
         "--json",
         metavar="PATH",
@@ -274,21 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "bench" and not 1 <= args.n_max <= 20:
-        parser.error("--n-max must be in [1, 20]")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
+    except tuple(ERROR_EXITS) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except DimensionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except ExportError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_EXPORT
+        return ERROR_EXITS[type(e)]
 
 
 if __name__ == "__main__":

@@ -9,16 +9,19 @@ from ucrsynth import (
     Axis,
     Circuit,
     Cnot,
+    ExportError,
     Rot,
     UcrGate,
     circuit_unitary,
     dagger,
+    export_qasm,
     gate_counts,
     lower_ucr,
     rot_matrix,
     simplify,
     ucr_matrix,
 )
+from ucrsynth.circuit import Gate
 
 I2 = np.eye(2)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -182,6 +185,48 @@ def test_lower_matches_matrix_oracle():
                 assert np.abs(got - ucr_matrix(g)).max() <= 1e-12
 
 
+def simplify_gates(c: Circuit, *, prune_atol: float = 0.0, prune: bool = False) -> Circuit:
+    """Oracle for ``simplify``: the same peephole rules over gate objects.
+
+    This is the gate-object pass ``simplify`` was before it moved onto the
+    columns, kept unchanged (with its old ``prune`` flag) as an independent
+    reference: ``simplify(c)`` must equal ``simplify_gates(c)``, and
+    ``simplify(c, prune_atol=x)`` must equal
+    ``simplify_gates(c, prune_atol=x, prune=True)``.
+
+    Rules, applied to consecutive gates in the list: adjacent identical
+    CNOTs cancel; adjacent rotations with the same axis and target merge by
+    angle addition. Rotations with |angle| <= prune_atol are dropped only
+    when ``prune`` is set; pruning is off by default so gate counts stay at
+    the generic closed-form values (a merge to angle 0 keeps its gate).
+
+    One stack pass reaches the fixpoint: every reduction re-exposes the
+    previous gate, which is re-checked before anything new is pushed, so
+    the stack never holds a reducible adjacent pair.
+    """
+    atol = prune_atol if prune else None
+    out: list[Gate] = []
+    for g in c.gates:
+        reduced: Gate | None = g
+        while reduced is not None:
+            top = out[-1] if out else None
+            if isinstance(reduced, Cnot):
+                if top == reduced:
+                    out.pop()
+                    reduced = None
+                break
+            if isinstance(top, Rot) and top.axis == reduced.axis and top.target == reduced.target:
+                out.pop()
+                reduced = Rot(reduced.axis, reduced.target, top.angle + reduced.angle)
+                continue
+            if atol is not None and abs(reduced.angle) <= atol:
+                reduced = None
+            break
+        if reduced is not None:
+            out.append(reduced)
+    return Circuit(c.n, tuple(out))
+
+
 def test_dagger_examples():
     c = Circuit(1, (Rot(AXIS_Y, 1, 0.4),))
     assert dagger(c).gates == (Rot(AXIS_Y, 1, -0.4),)
@@ -213,14 +258,23 @@ def test_simplify_keeps_zero_merge_without_pruning():
     c = Circuit(1, (Rot(AXIS_Y, 1, 0.3), Rot(AXIS_Y, 1, -0.3)))
     (kept,) = simplify(c).gates
     assert kept.angle == pytest.approx(0.0)
-    assert simplify(c, prune=True).gates == ()
+    assert simplify(c, prune_atol=0.0).gates == ()
+
+
+def test_simplify_has_one_prune_keyword():
+    c = Circuit(1, (Rot(AXIS_Y, 1, 0.3), Rot(AXIS_Y, 1, -0.3)))
+    # the flag that used to switch pruning on is gone, not reinterpreted
+    with pytest.raises(TypeError):
+        simplify(c, prune=True)
+    # a NaN threshold compares false, so it prunes nothing
+    assert simplify(c, prune_atol=math.nan) == simplify(c)
 
 
 def test_simplify_prune_cascades():
     # dropping the tiny rotation exposes the CNOT pair
     c = Circuit(2, (Cnot(1, 2), Rot(AXIS_Y, 2, 1e-14), Cnot(1, 2)))
     assert simplify(c).gates == c.gates
-    assert simplify(c, prune_atol=1e-12, prune=True).gates == ()
+    assert simplify(c, prune_atol=1e-12).gates == ()
 
 
 def test_simplify_is_list_local():
@@ -234,8 +288,25 @@ def test_simplify_preserves_unitary():
     for seed in range(6):
         c = random_circuit(4, 40, seed=seed)
         u = circuit_unitary(c)
-        v = circuit_unitary(simplify(c, prune_atol=1e-13, prune=bool(seed % 2)))
+        v = circuit_unitary(simplify(c, prune_atol=1e-13 if seed % 2 else None))
         assert np.abs(u - v).max() <= 1e-10
+
+
+def test_pruning_every_general_axis_rotation_keeps_the_axis():
+    general = Axis(math.sin(0.4), math.cos(0.4))
+    c = Circuit(2, (
+        Rot(general, 1, 1e-14), Cnot(1, 2), Rot(AXIS_Y, 2, 0.5),
+        Rot(general, 2, 0.2), Rot(general, 2, -0.2), Rot(AXIS_Z, 1, 0.25),
+    ))
+    pruned = simplify(c, prune_atol=1e-12)
+    assert pruned == simplify_gates(c, prune_atol=1e-12, prune=True)
+    assert len(pruned) == 3
+    # the axis stays listed with no row using it, and only rows are exported
+    assert general in pruned.axes
+    assert general not in {g.axis for g in pruned.gates if isinstance(g, Rot)}
+    assert export_qasm(pruned).count("\n") == 4 + 3
+    with pytest.raises(ExportError):
+        export_qasm(c)
 
 
 def test_gate_counts():
@@ -284,13 +355,27 @@ def test_equality_is_gate_tuple_equality():
     assert reversed_ == Circuit(2, reversed_.gates)
 
 
-def test_column_paths_build_no_gate_objects(monkeypatch):
-    from ucrsynth import apply_circuit, dump_circuit, export_qasm, prepare, random_state
+def test_column_paths_build_no_gate_objects(monkeypatch, tmp_path, capsys):
+    from ucrsynth import apply_circuit, basis_state, dump_circuit, dump_state, prepare, random_state
+    from ucrsynth.cli import main
 
     a, b = random_state(3, 1), random_state(3, 2)
     c = prepare(a, b).circuit
     expect = (len(c.gates), gate_counts(c), dump_circuit(c), export_qasm(c))
     image = apply_circuit(a, c).amplitudes
+    # a basis state leaves zero angles for the threshold to prune
+    basis = basis_state(3, 5)
+    sparse = prepare(basis, b).circuit
+    simplified = (simplify_gates(c), simplify_gates(sparse, prune_atol=1e-12, prune=True))
+    assert len(simplified[1]) < len(sparse)
+    state_a, state_b, out_json, out_qasm = (tmp_path / f for f in ("a.json", "b.json", "c.json", "c.qasm"))
+    state_a.write_text(dump_state(basis))
+    state_b.write_text(dump_state(b))
+    argv = ["synth", str(state_a), str(state_b), "--prune-epsilon", "1e-12",
+            "--json", str(out_json), "--qasm", str(out_qasm)]
+    assert main(argv) == 0
+    written = (out_json.read_text(), out_qasm.read_text())
+    report = capsys.readouterr().out
 
     def refuse(self):
         raise AssertionError("gate objects built")
@@ -300,6 +385,12 @@ def test_column_paths_build_no_gate_objects(monkeypatch):
     assert (len(c), gate_counts(c), dump_circuit(c), export_qasm(c)) == expect
     assert np.array_equal(apply_circuit(a, c).amplitudes, image)
     assert dagger(dagger(c)) == c
+    assert (simplify(c), simplify(sparse, prune_atol=1e-12)) == simplified
+    out_json.unlink()
+    out_qasm.unlink()
+    assert main(argv) == 0
+    assert (out_json.read_text(), out_qasm.read_text()) == written
+    assert capsys.readouterr().out == report
 
 
 def test_public_constructor_checks_columns():

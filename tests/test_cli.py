@@ -306,6 +306,60 @@ def test_bench_nmax_cap(capsys):
         main(["bench", "--n-max", "21"])
 
 
+def test_unwritable_output_paths_exit_4(tmp_path, capsys):
+    a, b = write_states(tmp_path, n=2)
+    circuit = tmp_path / "c.json"
+    assert main(["synth", str(a), str(b), "--json", str(circuit)]) == 0
+    missing = tmp_path / "no-such-dir" / "out"
+    writers = [
+        ["synth", str(a), str(b), "--json", str(missing)],
+        ["synth", str(a), str(b), "--qasm", str(missing)],
+        ["export-qasm", str(circuit), "--qasm", str(missing)],
+        ["bench", "--n-max", "1", "--json", str(missing)],
+    ]
+    capsys.readouterr()
+    for argv in writers:
+        assert main(argv) == 4, argv
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {missing}: ")
+
+
+def usage_error(argv, capsys) -> str:
+    """stderr of an argparse usage error (exit 2) raised by main(argv)."""
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_prune_epsilon_must_be_finite_and_nonnegative(tmp_path, capsys):
+    a, b = write_states(tmp_path, n=2)
+    # nan and -1 used to prune nothing and inf every rotation, all exiting 0
+    for value in ("nan", "-1", "inf", "-inf"):
+        err = usage_error(["synth", str(a), str(b), f"--prune-epsilon={value}"], capsys)
+        assert "argument --prune-epsilon" in err
+    assert main(["synth", str(a), str(b), "--prune-epsilon", "0"]) == 0
+
+
+def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys):
+    a, b = write_states(tmp_path, n=2)
+    circuit = tmp_path / "c.json"
+    assert main(["synth", str(a), str(b), "--json", str(circuit)]) == 0
+    # nan used to print "FAIL (threshold nan)"
+    for value in ("nan", "-1e-9", "inf"):
+        err = usage_error(["verify", str(circuit), str(a), str(b), f"--tolerance={value}"], capsys)
+        assert "argument --tolerance" in err
+    # 0 is allowed: verify runs and passes or fails instead of a usage error
+    assert main(["verify", str(circuit), str(a), str(b), "--tolerance", "0"]) in (0, 1)
+
+
+def test_bench_seed_must_be_nonnegative(capsys):
+    # -5 used to end in a numpy ValueError traceback
+    err = usage_error(["bench", "--n-max", "1", "--seed", "-5"], capsys)
+    assert "argument --seed" in err
+    assert main(["bench", "--n-max", "1", "--seed", "0"]) == 0
+
+
 def test_console_script_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ucrsynth.cli", "bench", "--n-max", "2"],

@@ -26,7 +26,7 @@ from ucrsynth import (
     random_state,
     simplify,
 )
-from test_circuit import random_circuit
+from test_circuit import random_circuit, simplify_gates
 
 
 def fold(x, c):
@@ -221,16 +221,32 @@ def test_dagger_is_an_involution(c):
     twice = dagger(dagger(c))
     assert twice == c
     # bit for bit: negating twice restores the sign of a zero angle
-    angle_bits = lambda x: [g.angle.hex() for g in x.gates if isinstance(g, Rot)]
     assert angle_bits(twice) == angle_bits(c)
+
+
+def angle_bits(c):
+    return [g.angle.hex() for g in c.gates if isinstance(g, Rot)]
+
+
+@settings(deadline=None)
+@given(circuits())
+@example(Circuit(2, (Cnot(1, 2), Rot(AXIS_Y, 2, 0.25), Rot(AXIS_Y, 2, -0.25), Cnot(1, 2),
+                     Rot(AXIS_Z, 1, -0.0), Rot(AXIS_Z, 1, 0.0), Rot(AXIS_Y, 1, 0.5))))
+def test_simplify_matches_gate_object_oracle(c):
+    for atol in (None, 0.0, 0.5):
+        got = simplify(c, prune_atol=atol)
+        expect = simplify_gates(c, prune_atol=atol or 0.0, prune=atol is not None)
+        assert got == expect
+        assert angle_bits(got) == angle_bits(expect)
 
 
 @settings(deadline=None)
 @given(circuits(), st.booleans())
 @example(Circuit(2, (Cnot(1, 2), Rot(AXIS_Y, 2, 1.0), Rot(AXIS_Y, 2, -0.8), Cnot(1, 2))), True)
 def test_simplify_is_idempotent(c, prune):
-    once = simplify(c, prune_atol=0.5, prune=prune)
-    assert simplify(once, prune_atol=0.5, prune=prune) == once
+    atol = 0.5 if prune else None
+    once = simplify(c, prune_atol=atol)
+    assert simplify(once, prune_atol=atol) == once
 
 
 @settings(deadline=None)
