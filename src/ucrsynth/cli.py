@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
+import functools
+import io
 import json
 import math
 import os
 import platform
 import sys
+import tempfile
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -22,7 +26,7 @@ import numpy as np
 
 from .circuit import gate_counts, simplify
 from .errors import DimensionError, ExportError, ParseError
-from .formats import dump_circuit, export_qasm, load_circuit, load_state
+from .formats import dump_circuit, dump_state, export_qasm, load_circuit, load_state
 from .sim import apply_circuit
 from .state import StateVector, random_state, wrap_angle
 from .synth import SynthesisResult, prepare
@@ -170,6 +174,17 @@ def _best_of(repeats: int, call) -> float:
     return best
 
 
+def _bench_cli(seed: int, n: int = 8) -> dict:
+    """Best time of in-process ``synth --json --qasm`` plus ``verify`` on n-qubit files."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        a, b, c, q = (os.path.join(tmp, f) for f in ("a.json", "b.json", "c.json", "c.qasm"))
+        _write(a, dump_state(random_state(n, seed + 2 * n)))
+        _write(b, dump_state(random_state(n, seed + 2 * n + 1)))
+        argvs = ["synth", a, b, "--json", c, "--qasm", q], ["verify", c, a, b]
+        best = _best_of(BENCH_REPEATS, lambda: [main(argv) for argv in argvs])
+    return {"n": n, "synth_verify_s": best}
+
+
 def _append_run(path: str, run: dict) -> None:
     """Add one run to the {"runs": [...]} record at path, creating it if absent."""
     doc = {"runs": []}
@@ -185,11 +200,10 @@ def _append_run(path: str, run: dict) -> None:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    header = (
+    print(
         f"{'n':>3} {'cnot':>7} {'rot':>7} {'cnot_up':>8} {'rot_up':>7} "
         f"{'cnot_lo':>8} {'rot_lo':>7} {'qr_cnot':>8} {'time_s':>8}"
     )
-    print(header)
     rows = []
     for n in range(1, args.n_max + 1):
         a = random_state(n, args.seed + 2 * n)
@@ -205,18 +219,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"{int(limits.qr_comparison_cnot):>8} {elapsed:>8.3f}"
         )
         if args.json:
+            row = {"n": n, **counts, "cnot_up": limits.upper_cnot, "rot_up": limits.upper_rot}
+            row["prepare_s"] = _best_of(BENCH_REPEATS, lambda: prepare(a, b))
             circuit = result.circuit
-            rows.append(
-                {
-                    "n": n,
-                    "cnot": counts["cnot"],
-                    "rot": counts["rot"],
-                    "cnot_up": limits.upper_cnot,
-                    "rot_up": limits.upper_rot,
-                    "prepare_s": _best_of(BENCH_REPEATS, lambda: prepare(a, b)),
-                    "apply_circuit_s": _best_of(BENCH_REPEATS, lambda: apply_circuit(a, circuit)),
-                }
-            )
+            row["apply_circuit_s"] = _best_of(BENCH_REPEATS, lambda: apply_circuit(a, circuit))
+            rows.append(row)
     if args.json:
         run = {
             "label": args.label,
@@ -224,12 +231,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "repeats": BENCH_REPEATS,
             "rows": rows,
+            "cli": _bench_cli(args.seed),
         }
         _append_run(args.json, run)
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; main looks cmd_* up per call."""
     parser = argparse.ArgumentParser(
         prog="ucrsynth",
         description="Synthesize exact CNOT + y/z-rotation circuits mapping one "
@@ -256,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     synth.add_argument("--json", metavar="PATH", help="write the circuit file here")
     synth.add_argument("--qasm", metavar="PATH", help="also export OpenQASM 2.0 here")
-    synth.set_defaults(func=cmd_synth)
 
     verify = sub.add_parser("verify", help="check a circuit file against two states")
     verify.add_argument("circuit", help="path to the circuit file")
@@ -269,12 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=TOLERANCE,
         help="allowed infidelity; pass iff fidelity >= 1 - tolerance",
     )
-    verify.set_defaults(func=cmd_verify)
 
     export = sub.add_parser("export-qasm", help="emit OpenQASM 2.0 for a circuit file")
     export.add_argument("circuit", help="path to the circuit file")
     export.add_argument("--qasm", metavar="PATH", help="output path (default stdout)")
-    export.set_defaults(func=cmd_export_qasm)
 
     bench = sub.add_parser("bench", help="synthesize random pairs and tabulate counts")
     bench.add_argument(
@@ -284,18 +291,18 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--json",
         metavar="PATH",
-        help="append a run (machine, counts against the bounds, best-of-5 times "
-        "of prepare and apply_circuit per n) to the JSON record at PATH",
+        help="append a run (machine, counts against the bounds, best-of-5 times of prepare "
+        "and apply_circuit per n and of CLI synth plus verify at n = 8) to the record at PATH",
     )
     bench.add_argument("--label", default=None, help="name of the run in the --json record")
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except tuple(ERROR_EXITS) as e:
         print(f"error: {e}", file=sys.stderr)
         return ERROR_EXITS[type(e)]

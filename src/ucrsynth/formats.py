@@ -3,10 +3,12 @@
 Floats are serialized with Python's shortest round-trip repr, so a parsed
 document reproduces the original doubles bit for bit. Syntax errors carry
 line:column anchors; structural errors carry the offending field path.
+Readers check whole columns; when a check fails, a record loop words the error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from typing import Any
@@ -53,7 +55,7 @@ def _get(data: dict, field: str, kind: type, label: str, path: str = ""):
 
 
 def dump_state(x: StateVector) -> str:
-    pairs = [[float(a.real), float(a.imag)] for a in x.amplitudes]
+    pairs = np.stack((x.amplitudes.real, x.amplitudes.imag), axis=1).tolist()
     return json.dumps({"n": x.n, "amplitudes": pairs}, allow_nan=False) + "\n"
 
 
@@ -63,21 +65,28 @@ def load_state(text: str, *, label: str = "<state>", normalize: bool = False) ->
     data = _parse_json(text, label)
     n = _get(data, "n", int, label)
     raw = _get(data, "amplitudes", list, label)
-    amps = np.empty(len(raw), dtype=np.complex128)
-    for i, entry in enumerate(raw):
-        ok = (
-            isinstance(entry, list)
-            and len(entry) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-        )
-        if not ok:
-            raise ParseError(
-                f"{label}: amplitudes[{i}]: expected a [re, im] number pair, got {entry!r}"
+    amps = None
+    if set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}:
+        values = [v for pair in raw for v in pair]
+        if set(map(type, values)) <= {int, float}:
+            with contextlib.suppress(OverflowError):
+                amps = np.array(values, dtype=np.float64).view(np.complex128)
+    if amps is None:
+        amps = np.empty(len(raw), dtype=np.complex128)
+        for i, entry in enumerate(raw):
+            ok = (
+                isinstance(entry, list)
+                and len(entry) == 2
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
             )
-        try:
-            amps[i] = complex(entry[0], entry[1])
-        except OverflowError:
-            raise ParseError(f"{label}: amplitudes[{i}]: integer beyond the float range") from None
+            if not ok:
+                raise ParseError(
+                    f"{label}: amplitudes[{i}]: expected a [re, im] number pair, got {entry!r}"
+                )
+            try:
+                amps[i] = complex(entry[0], entry[1])
+            except OverflowError:
+                raise ParseError(f"{label}: amplitudes[{i}]: integer beyond the float range") from None
     if "normalize" in data:
         flag = data["normalize"]
         if not isinstance(flag, bool):
@@ -88,14 +97,6 @@ def load_state(text: str, *, label: str = "<state>", normalize: bool = False) ->
     except (DimensionError, ValueError) as e:
         # A self-inconsistent or unnormalized document is a parse failure.
         raise ParseError(f"{label}: {e}") from e
-
-
-def _axis_json(axis: Axis):
-    if axis == AXIS_Y:
-        return "y"
-    if axis == AXIS_Z:
-        return "z"
-    return [0, axis.ay, axis.az]
 
 
 def _axis_from_json(value, label: str, path: str) -> Axis:
@@ -110,9 +111,7 @@ def _axis_from_json(value, label: str, path: str) -> Axis:
         and value[0] == 0
     )
     if not ok:
-        raise ParseError(
-            f'{label}: {path}: expected "y", "z", or [0, ay, az], got {value!r}'
-        )
+        raise ParseError(f'{label}: {path}: expected "y", "z", or [0, ay, az], got {value!r}')
     try:
         return Axis(float(value[1]), float(value[2]))
     except OverflowError:
@@ -122,26 +121,49 @@ def _axis_from_json(value, label: str, path: str) -> Axis:
 
 
 def dump_circuit(c: Circuit, metadata: dict | None = None) -> str:
-    axes = [_axis_json(a) for a in c.axes]
-    records = [
-        {"type": "cnot", "control": control, "target": target}
-        if control
-        else {"type": "rot", "axis": axes[axis], "target": target, "angle": angle}
-        for control, target, axis, angle in zip(
-            c.control.tolist(), c.target.tolist(), c.axis.tolist(), c.angle.tolist()
-        )
+    """One line, as ``json.dumps`` writes it, from one template per gate kind and axis."""
+    if not np.isfinite(c.angle).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    cnot = '{"type": "cnot", "control": %d, "target": %d}'
+    rot = [
+        '{"type": "rot", "axis": %s, "target": %%d, "angle": %%r}'
+        % ('"y"' if a == AXIS_Y else '"z"' if a == AXIS_Z else json.dumps([0, a.ay, a.az]))
+        for a in c.axes
     ]
-    doc: dict[str, Any] = {"n": c.n, "gates": records}
-    if metadata is not None:
-        doc["metadata"] = metadata
-    return json.dumps(doc, allow_nan=False) + "\n"
+    rows = zip(c.control.tolist(), c.target.tolist(), c.axis.tolist(), c.angle.tolist())
+    records = [cnot % (q, t) if q else rot[a] % (t, angle) for q, t, a, angle in rows]
+    tail = "" if metadata is None else ', "metadata": ' + json.dumps(metadata, allow_nan=False)
+    return '{"n": %s, "gates": [%s]%s}\n' % (json.dumps(c.n), ", ".join(records), tail)
 
 
-def load_circuit(text: str, *, label: str = "<circuit>") -> tuple[Circuit, dict]:
-    """Parse a circuit document back into (Circuit, metadata dict)."""
-    data = _parse_json(text, label)
-    n = _get(data, "n", int, label)
-    records = _get(data, "gates", list, label)
+def _gate_columns(records: list) -> tuple | None:
+    """What ``_gate_records`` returns, read field by field; None when a check fails."""
+    try:
+        kinds = [r["type"] for r in records]
+        cnot = np.array([k == "cnot" for k in kinds], dtype=bool)
+        rots = [r for r, k in zip(records, kinds) if k == "rot"]
+        control = [r["control"] for r, k in zip(records, kinds) if k == "cnot"]
+        target = [r["target"] for r in records]
+        angle, spelling = [r["angle"] for r in rots], [r["axis"] for r in rots]
+        types = set(map(type, control + target)) | set(map(type, angle)) - {float}
+        if len(control) + len(rots) < len(records) or not types <= {int}:
+            return None
+        # one _axis_from_json per distinct spelling; repr tells 1 from 1.0 and True
+        keys, axes, index = list(map(repr, spelling)), {}, {}
+        for key, value in dict(zip(keys, spelling)).items():
+            index[key] = axes.setdefault(_axis_from_json(value, "", ""), len(axes))
+        (controls, axis), angles = np.zeros((2, len(records)), np.int32), np.zeros(len(records))
+        controls[cnot], axis[~cnot], angles[~cnot] = control, [index[k] for k in keys], angle
+        target = np.array(target, dtype=np.int32)
+    except (KeyError, TypeError, OverflowError, ParseError):
+        return None
+    if (controls[cnot] == target[cnot]).any() or not np.isfinite(angles).all():
+        return None
+    return cnot, controls, target, axis, tuple(axes), angles
+
+
+def _gate_records(records: list, label: str) -> tuple:
+    """The gate columns read record by record, raising the first error."""
     cnot, control, target, axis, angle = [], [], [], [], []
     axes: dict[Axis, int] = {}
     for i, rec in enumerate(records):
@@ -169,11 +191,20 @@ def load_circuit(text: str, *, label: str = "<circuit>") -> tuple[Circuit, dict]
         else:
             raise ParseError(f"{label}: {path}.type: unknown gate type {kind!r}")
         target.append(t)
+    return cnot, control, target, axis, tuple(axes), angle
+
+
+def load_circuit(text: str, *, label: str = "<circuit>") -> tuple[Circuit, dict]:
+    """Parse a circuit document back into (Circuit, metadata dict)."""
+    data = _parse_json(text, label)
+    n = _get(data, "n", int, label)
+    records = _get(data, "gates", list, label)
+    cnot, *columns = _gate_columns(records) or _gate_records(records, label)
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError(f"{label}: metadata: expected an object")
     try:
-        circuit = Circuit._from_columns(n, control, target, axis, tuple(axes), angle)
+        circuit = Circuit._from_columns(n, *columns)
         circuit.__post_init__(np.array(cnot, dtype=bool))
     except ValueError as e:
         raise ParseError(f"{label}: {e}") from e

@@ -135,10 +135,10 @@ def _apply_fused(amps: np.ndarray, c: Circuit, n_bits: int) -> None:
     view = amps.reshape((2,) * n_bits)
     new_run = np.ones(len(c), dtype=bool)
     new_run[1:] = c.target[1:] != c.target[:-1]
-    segment = np.cumsum(new_run, dtype=np.int32)
     rots = np.flatnonzero(c.control == 0)
+    segment = np.searchsorted(np.flatnonzero(new_run), rots, side="right")  # of each rotation
     prev, cur = rots[:-1], rots[1:]
-    new_run[cur[(c.axis[cur] != c.axis[prev]) & (segment[cur] == segment[prev])]] = True
+    new_run[cur[(c.axis[cur] != c.axis[prev]) & (segment[1:] == segment[:-1])]] = True
     starts = np.flatnonzero(new_run)
     # a CNOT toggles its control's index bit; a rotation (control 0) toggles
     # bit n_bits, which no qubit reads

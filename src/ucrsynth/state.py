@@ -56,14 +56,16 @@ def make_state(n: int, amplitudes, *, normalize: bool = False) -> StateVector:
     # size == 2**n, without computing 2**n for a huge n read from a file
     if amps.size.bit_length() != n + 1 or amps.size & (amps.size - 1):
         raise DimensionError(f"expected 2**{n} amplitudes, got {amps.size}")
-    if not np.all(np.isfinite(amps)):
+    parts = amps.view(np.float64)  # re and im of every amplitude
+    if not np.all(np.isfinite(parts)):
         raise ValueError("amplitudes must be finite")
-    sq_norm = float(np.sum(np.abs(amps) ** 2))
-    if sq_norm == 0.0:
+    if not parts.any():
         raise ValueError("zero vector is not a valid state")
     if normalize:
-        amps /= math.sqrt(sq_norm)
-    elif abs(sq_norm - 1.0) > NORM_ATOL:
+        parts /= np.abs(parts).max()  # first, so that the squares stay within the float range
+        parts /= math.sqrt(float(np.sum(parts * parts)))
+    sq_norm = float(np.sum(np.abs(amps) ** 2))
+    if abs(sq_norm - 1.0) > NORM_ATOL:
         raise ValueError(
             f"state is not normalized: sum |a_i|^2 = {sq_norm!r} "
             f"(pass normalize=True to rescale)"

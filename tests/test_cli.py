@@ -9,6 +9,7 @@ import pytest
 
 from ucrsynth import basis_state, dump_circuit, dump_state, load_circuit, random_state
 from ucrsynth.circuit import Rot
+from ucrsynth import cli
 from ucrsynth.cli import main
 
 
@@ -113,6 +114,30 @@ def test_synth_normalize_flag(tmp_path):
     target.write_text(dump_state(random_state(1, 5)))
     assert main(["synth", str(raw), str(target)]) == 2
     assert main(["synth", str(raw), str(target), "--normalize"]) == 0
+
+
+def test_synth_normalizes_huge_and_tiny_states(tmp_path, capsys):
+    target = tmp_path / "t.json"
+    target.write_text(dump_state(random_state(1, 5)))
+    for name, amplitudes in (("huge", [[1e200, 0], [1e200, 0]]), ("tiny", [[1e-200, 0], [0, 0]])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": 1, "amplitudes": amplitudes}))
+        for argv in ([str(target), str(path)], [str(path), str(target)]):
+            assert main(["synth", *argv, "--normalize"]) == 0, (name, argv)
+            fidelity = float(re.search(r"^fidelity (\S+)$", capsys.readouterr().out, re.M)[1])
+            assert fidelity >= 1 - 1e-9
+
+
+def test_main_looks_the_command_up_on_every_call(tmp_path, monkeypatch, capsys):
+    a, b = write_states(tmp_path)
+    circuit = tmp_path / "c.json"
+    assert main(["synth", str(a), str(b), "--json", str(circuit)]) == 0
+    assert main(["verify", str(circuit), str(a), str(b)]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.circuit) or 7)
+    assert main(["verify", str(circuit), str(a), str(b)]) == 7
+    assert seen == [str(circuit)]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_verify_pass_and_fail(tmp_path, capsys):
@@ -295,6 +320,10 @@ def test_bench_json_record(tmp_path, capsys):
     n4 = runs[0]["rows"][-1]
     assert (n4["n"], n4["cnot"], n4["rot"], n4["cnot_up"], n4["rot_up"]) == (4, 44, 59, 44, 59)
     assert n4["prepare_s"] > 0 and n4["apply_circuit_s"] > 0
+    # and the in-process synth plus verify on files, at n = 8 whatever --n-max says
+    for run in runs:
+        assert set(run["cli"]) == {"n", "synth_verify_s"}
+        assert run["cli"]["n"] == 8 and run["cli"]["synth_verify_s"] > 0
     bad = tmp_path / "bad.json"
     bad.write_text("[1]")
     assert main(["bench", "--n-max", "1", "--json", str(bad)]) == 2

@@ -1,9 +1,12 @@
 import json
 import math
+from typing import Any
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ucrsynth import (
     AXIS_Y,
@@ -11,6 +14,7 @@ from ucrsynth import (
     Axis,
     Circuit,
     Cnot,
+    DimensionError,
     ExportError,
     ParseError,
     Rot,
@@ -25,6 +29,8 @@ from ucrsynth import (
     random_state,
     rot_matrix,
 )
+from ucrsynth import formats
+from ucrsynth.formats import _axis_from_json, _get, _parse_json
 
 from test_sim import circuits
 
@@ -215,3 +221,306 @@ def test_dump_state_handles_plain_floats():
     doc = json.loads(dump_state(x))
     assert doc["amplitudes"][0] == [0.5, 0.0]
     assert isinstance(doc["amplitudes"][1][0], float)
+
+
+# --- oracles: the record-by-record readers and the json.dumps writer ---------
+#
+# These are the file boundary as it was before it read and wrote whole
+# columns, kept unchanged as independent references. The column readers must
+# return the same values for every valid document and raise ParseError with
+# the same message for every invalid one; dump_circuit must write the same
+# bytes as json.dumps.
+
+
+def load_state_records(text: str, *, label: str = "<state>", normalize: bool = False) -> StateVector:
+    """Parse a state document: n, amplitudes as [re, im] pairs, optional
+    normalize flag (the keyword argument forces normalization either way)."""
+    data = _parse_json(text, label)
+    n = _get(data, "n", int, label)
+    raw = _get(data, "amplitudes", list, label)
+    amps = np.empty(len(raw), dtype=np.complex128)
+    for i, entry in enumerate(raw):
+        ok = (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
+        )
+        if not ok:
+            raise ParseError(
+                f"{label}: amplitudes[{i}]: expected a [re, im] number pair, got {entry!r}"
+            )
+        try:
+            amps[i] = complex(entry[0], entry[1])
+        except OverflowError:
+            raise ParseError(f"{label}: amplitudes[{i}]: integer beyond the float range") from None
+    if "normalize" in data:
+        flag = data["normalize"]
+        if not isinstance(flag, bool):
+            raise ParseError(f"{label}: normalize: expected a boolean, got {flag!r}")
+        normalize = normalize or flag
+    try:
+        return make_state(n, amps, normalize=normalize)
+    except (DimensionError, ValueError) as e:
+        # A self-inconsistent or unnormalized document is a parse failure.
+        raise ParseError(f"{label}: {e}") from e
+
+
+def _axis_json(axis: Axis):
+    if axis == AXIS_Y:
+        return "y"
+    if axis == AXIS_Z:
+        return "z"
+    return [0, axis.ay, axis.az]
+
+
+def dump_circuit_json(c: Circuit, metadata: dict | None = None) -> str:
+    axes = [_axis_json(a) for a in c.axes]
+    records = [
+        {"type": "cnot", "control": control, "target": target}
+        if control
+        else {"type": "rot", "axis": axes[axis], "target": target, "angle": angle}
+        for control, target, axis, angle in zip(
+            c.control.tolist(), c.target.tolist(), c.axis.tolist(), c.angle.tolist()
+        )
+    ]
+    doc: dict[str, Any] = {"n": c.n, "gates": records}
+    if metadata is not None:
+        doc["metadata"] = metadata
+    return json.dumps(doc, allow_nan=False) + "\n"
+
+
+def load_circuit_records(text: str, *, label: str = "<circuit>") -> tuple[Circuit, dict]:
+    """Parse a circuit document back into (Circuit, metadata dict)."""
+    data = _parse_json(text, label)
+    n = _get(data, "n", int, label)
+    records = _get(data, "gates", list, label)
+    cnot, control, target, axis, angle = [], [], [], [], []
+    axes: dict[Axis, int] = {}
+    for i, rec in enumerate(records):
+        path = f"gates[{i}]"
+        kind = _get(rec, "type", str, label, f"{path}.type")
+        if kind == "cnot":
+            c = _get(rec, "control", int, label, f"{path}.control")
+            t = _get(rec, "target", int, label, f"{path}.target")
+            if c == t:
+                raise ParseError(f"{label}: {path}: cnot control and target coincide on qubit {c}")
+            cnot.append(True)
+            control.append(c)
+            axis.append(0)
+            angle.append(0.0)
+        elif kind == "rot":
+            a = _axis_from_json(rec.get("axis"), label, f"{path}.axis")
+            t = _get(rec, "target", int, label, f"{path}.target")
+            value = _get(rec, "angle", float, label, f"{path}.angle")
+            if not math.isfinite(value):
+                raise ParseError(f"{label}: {path}.angle: expected a finite number, got {value!r}")
+            cnot.append(False)
+            control.append(0)
+            axis.append(axes.setdefault(a, len(axes)))
+            angle.append(value)
+        else:
+            raise ParseError(f"{label}: {path}.type: unknown gate type {kind!r}")
+        target.append(t)
+    metadata = data.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ParseError(f"{label}: metadata: expected an object")
+    try:
+        circuit = Circuit._from_columns(n, control, target, axis, tuple(axes), angle)
+        circuit.__post_init__(np.array(cnot, dtype=bool))
+    except ValueError as e:
+        raise ParseError(f"{label}: {e}") from e
+    return circuit, metadata
+
+
+# --- documents the writers may produce, and their mutants --------------------
+
+METADATA = st.none() | st.dictionaries(
+    st.text(max_size=4),
+    st.floats(allow_nan=False, allow_infinity=False) | st.integers() | st.none()
+    | st.lists(st.floats(-1.0, 1.0), max_size=2),
+    max_size=3,
+)
+# integer angles as a hand-written file may spell them, up to well past 2**53
+INT_ANGLES = st.integers(-4, 4) | st.sampled_from([2**53 + 1, -(2**60) - 3, 10**30, 10**300])
+SPELLINGS = {"y": [[0, 1, 0], [0, 1.0, -0.0], "y"], "z": [[0, 0, 1], [0, -0.0, 1.0], "z"]}
+
+
+@st.composite
+def circuit_documents(draw):
+    """Valid circuit documents as dicts: general axes, +-0.0 and integer
+    angles, y and z spelled as lists, metadata present or absent."""
+    c = draw(circuits(max_gates=30))
+    doc = json.loads(dump_circuit_json(c))
+    for rec in doc["gates"]:
+        if rec["type"] != "rot":
+            continue
+        angle = draw(st.sampled_from(["keep", "int", "zero"]))
+        if angle == "int":
+            rec["angle"] = draw(INT_ANGLES)
+        elif angle == "zero":
+            rec["angle"] = draw(st.sampled_from([0.0, -0.0]))
+        if isinstance(rec["axis"], str):
+            rec["axis"] = draw(st.sampled_from(SPELLINGS[rec["axis"]]))
+    metadata = draw(METADATA)
+    if metadata is not None:
+        doc["metadata"] = metadata
+    return doc
+
+
+BAD_VALUES = st.sampled_from(
+    [True, False, "1", None, [], [1], {}, 10**400, math.nan, math.inf, -math.inf, 1.5]
+)
+BAD_QUBITS = st.sampled_from([0, -1, 9, 2**31, 2**40, 2**63, 10**30])
+BAD_AXES = BAD_VALUES | st.sampled_from(
+    ["x", "Y", [0.1, 1.0, 0.0], [0, 1, 1], [0, 1], [0, "1", 0], [0, True, 0],
+     [0, 10**400, 0], [0, math.nan, 1.0], [0, math.inf, 0], [0, 1, 0, 0], {"ay": 1}]
+)
+FIELDS = ("type", "control", "target", "axis", "angle")
+
+
+@st.composite
+def mutated_circuit_documents(draw):
+    """A valid document with one to three records spoiled."""
+    doc = draw(circuit_documents())
+    gates = doc["gates"]
+    if not gates:
+        gates.append({"type": "rot", "axis": "y", "target": 1, "angle": 0.5})
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(gates) - 1))
+        rec = gates[i]
+        how = draw(st.sampled_from(
+            ["value", "drop", "type", "record", "coincide", "qubit", "axis", "metadata"]
+        ))
+        if not isinstance(rec, dict) or how == "record":
+            gates[i] = draw(st.sampled_from([3, "cnot", [], None, True, ["type", "rot"]]))
+        elif how == "value":
+            rec[draw(st.sampled_from(FIELDS))] = draw(BAD_VALUES)
+        elif how == "drop":
+            rec.pop(draw(st.sampled_from(FIELDS)), None)
+        elif how == "type":
+            rec["type"] = draw(st.sampled_from(["h", "CNOT", "", "rot ", "cnot", "rot"]))
+        elif how == "coincide":
+            rec["control"] = rec.get("target")
+        elif how == "qubit":
+            rec[draw(st.sampled_from(["control", "target"]))] = draw(BAD_QUBITS)
+        elif how == "axis":
+            rec["axis"] = draw(BAD_AXES)
+        else:
+            doc["metadata"] = draw(st.sampled_from([7, [], "m", None]))
+    return doc
+
+
+def columns_bits(c: Circuit):
+    """Every column and axis of c, bit for bit."""
+    return (
+        c.n,
+        c.control.tolist(),
+        c.target.tolist(),
+        c.axis.tolist(),
+        c.angle.tobytes(),
+        [(a.ay.hex(), a.az.hex()) for a in c.axes],
+    )
+
+
+def read_outcome(read, text: str):
+    try:
+        c, metadata = read(text, label="c.json")
+    except ParseError as e:
+        return "error", str(e)
+    return "ok", columns_bits(c), metadata
+
+
+@settings(deadline=None)
+@given(circuit_documents())
+@example({"n": 2, "gates": [
+    {"type": "rot", "axis": [0, 0, 1], "target": 1, "angle": -0.0},
+    {"type": "rot", "axis": "z", "target": 2, "angle": 10**30},
+    {"type": "rot", "axis": [0, -0.6, 0.8], "target": 1, "angle": 3},
+    {"type": "cnot", "control": 2, "target": 1, "angle": "ignored", "axis": None},
+]})
+def test_column_reader_equals_record_reader_on_valid_documents(doc):
+    text = json.dumps(doc)
+    want, want_metadata = load_circuit_records(text)
+    # a valid document never reaches the per-record loop
+    with mock.patch.object(formats, "_gate_records", side_effect=AssertionError("loop ran")):
+        got, metadata = load_circuit(text)
+    assert got == want
+    assert gate_bits(got) == gate_bits(want)
+    assert columns_bits(got) == columns_bits(want)
+    assert metadata == want_metadata
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_circuit_documents())
+@example({"n": 2, "gates": [{"type": "cnot", "control": 2**40, "target": 2**40}]})
+@example({"n": 2, "gates": [{"type": "cnot", "control": 2**40, "target": 1}]})
+@example({"n": 1, "gates": [{"type": "rot", "axis": [0, True, 0], "target": 1, "angle": 1},
+                            {"type": "rot", "axis": [0, 1, 0], "target": 1, "angle": 1}]})
+@example({"n": 1, "gates": [{"type": "rot", "axis": [0, 1, 0], "target": 1, "angle": 1},
+                            {"type": "rot", "axis": [0, True, 0], "target": 1, "angle": 1}]})
+@example({"n": 1, "gates": [{"type": "rot", "axis": [0, 1, 0], "target": 1, "angle": 1},
+                            {"type": "rot", "axis": "[0, 1, 0]", "target": 1, "angle": 1}]})
+def test_column_reader_words_errors_like_record_reader(doc):
+    text = json.dumps(doc)
+    assert read_outcome(load_circuit, text) == read_outcome(load_circuit_records, text)
+
+
+@settings(deadline=None)
+@given(circuits(), METADATA)
+@example(Circuit(2, (Rot(AXIS_Z, 1, -0.0), Rot(Axis(-0.6, -0.8), 2, 0.0), Cnot(1, 2))), None)
+@example(Circuit(1), {"residual_phase": -0.0, "counts": {"cnot": 0, "rot": 0}})
+def test_dump_circuit_equals_json_dumps(c, metadata):
+    assert dump_circuit(c, metadata) == dump_circuit_json(c, metadata)
+
+
+def test_dump_circuit_rejects_non_finite_like_json_dumps():
+    for value in (math.nan, math.inf, -math.inf):
+        c = Circuit._from_columns(1, [0], [1], [0], (AXIS_Y,), [value])
+        for dump in (dump_circuit, dump_circuit_json):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                dump(c)
+    with pytest.raises(ValueError):
+        dump_circuit(Circuit(1), {"phase": math.nan})
+
+
+@st.composite
+def state_documents(draw):
+    """State documents as dicts, valid or with spoiled entries and fields."""
+    n = draw(st.integers(1, 3))
+    doc = json.loads(dump_state(random_state(n, draw(st.integers(0, 2**32 - 1)))))
+    pairs = doc["amplitudes"]
+    if draw(st.booleans()):  # integer and signed-zero parts; the file asks to normalize
+        pairs[:] = [[draw(st.integers(-3, 3) | st.sampled_from([0.0, -0.0])) for _ in pair]
+                    for pair in pairs]
+        doc["normalize"] = True
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = draw(
+            BAD_VALUES | st.sampled_from([[1, 2, 3], [[1], [2]], "ab", {"re": 1, "im": 0}])
+            | st.lists(BAD_VALUES, min_size=2, max_size=2)
+        )
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(["n", "normalize"]))] = draw(
+            BAD_VALUES | st.integers(-1, 5)
+        )
+    return doc
+
+
+def state_outcome(read, text: str, normalize: bool):
+    try:
+        x = read(text, label="s.json", normalize=normalize)
+    except ParseError as e:
+        return "error", str(e)
+    return "ok", x.n, x.amplitudes.tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(state_documents(), st.booleans())
+@example({"n": 1, "amplitudes": [[1, 0], [10**400, 0]]}, False)
+@example({"n": 1, "amplitudes": [[10**30, 0], [1, 2**53 + 1]]}, True)
+@example({"n": 1, "amplitudes": [[1, 0], [True, 0]]}, False)
+@example({"n": 2, "amplitudes": []}, False)
+def test_state_reader_equals_record_reader(doc, normalize):
+    text = json.dumps(doc)
+    got = state_outcome(load_state, text, normalize)
+    assert got == state_outcome(load_state_records, text, normalize)

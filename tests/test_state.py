@@ -45,6 +45,20 @@ def test_make_state_rejects_zero_vector():
         make_state(1, [0.0, 0.0], normalize=True)
 
 
+def test_normalize_survives_huge_and_tiny_amplitudes():
+    # the squared norm of these over- or underflows unless the vector is scaled first
+    x = make_state(1, [1e200, 1e200], normalize=True)
+    assert np.allclose(x.amplitudes, [math.sqrt(0.5), math.sqrt(0.5)], rtol=0, atol=1e-15)
+    for tiny in (1e-200, 5e-324):
+        assert make_state(1, [tiny, 0.0], normalize=True).amplitudes.tolist() == [1, 0]
+    top = make_state(1, [complex(1.7e308, -1.7e308), 0.0], normalize=True)
+    assert np.allclose(top.amplitudes, [complex(1, -1) / math.sqrt(2), 0], rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="^zero vector is not a valid state$"):
+        make_state(1, [0.0, 0.0], normalize=True)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"= inf \(pass normalize"):
+        make_state(1, [1e200, 1e200])
+
+
 def test_make_state_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
         make_state(1, [math.nan, 1.0])
