@@ -99,7 +99,7 @@ def _print_report(result: SynthesisResult) -> None:
 def cmd_synth(args: argparse.Namespace) -> int:
     a = _load_state_file(args.input_a, args.normalize)
     b = _load_state_file(args.input_b, args.normalize)
-    result = prepare(a, b, mirrored=args.mirror)
+    result = prepare(a, b)
     if args.prune_epsilon is not None:
         pruned = simplify(result.circuit, prune_atol=args.prune_epsilon)
         result = replace(result, circuit=pruned, counts=gate_counts(pruned))
@@ -190,7 +190,9 @@ def _append_run(path: str, run: dict) -> None:
     doc = {"runs": []}
     if Path(path).exists():
         try:
-            doc = json.loads(_read(path))
+            doc = json.loads(Path(path).read_text())
+        except OSError as e:  # an unwritable record, like _write's
+            raise ExportError(f"{path}: {e.strerror or e}") from e
         except ValueError as e:
             raise ParseError(f"{path}: {e}") from e
         if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
@@ -257,12 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="EPS",
         help="drop rotations with |angle| <= EPS after synthesis",
-    )
-    synth.add_argument(
-        "--mirror",
-        action="store_true",
-        help="lower every uniformly controlled rotation with the mirrored "
-        "ladder (same rotations, forgoes the boundary-CNOT cancellations)",
     )
     synth.add_argument("--json", metavar="PATH", help="write the circuit file here")
     synth.add_argument("--qasm", metavar="PATH", help="also export OpenQASM 2.0 here")

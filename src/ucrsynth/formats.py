@@ -218,7 +218,8 @@ def export_qasm(c: Circuit) -> str:
     q[n - j]. Rotations are emitted with negated angles because qasm's
     ry/rz use the exp(-i angle sigma / 2) sign convention while the
     in-memory gates use exp(+i angle sigma / 2). Only exact y and z axes
-    are exportable; intermediate y-z axes have no gate in the subset.
+    and their negatives are exportable, since R_-a(angle) = R_a(-angle);
+    intermediate y-z axes have no gate in the subset.
     """
     lines = [
         f"// wire q[{c.n}-j] carries register qubit j; q[0] is the least significant",
@@ -226,19 +227,22 @@ def export_qasm(c: Circuit) -> str:
         'include "qelib1.inc";',
         f"qreg q[{c.n}];",
     ]
-    names = ["ry" if a == AXIS_Y else "rz" if a == AXIS_Z else None for a in c.axes]
+    # qasm gate per axis, and the factor taking an angle about it to the gate's angle
+    gates = {AXIS_Y: ("ry", -1.0), AXIS_Z: ("rz", -1.0)}
+    gates |= {Axis(-1.0, 0.0): ("ry", 1.0), Axis(0.0, -1.0): ("rz", 1.0)}
+    names = [gates.get(a, (None, 0.0)) for a in c.axes]
     for control, target, axis, angle in zip(
         c.control.tolist(), c.target.tolist(), c.axis.tolist(), c.angle.tolist()
     ):
         if control:
             lines.append(f"cx q[{c.n - control}],q[{c.n - target}];")
             continue
-        name = names[axis]
+        name, sign = names[axis]
         if name is None:
             raise ExportError(
                 f"axis ({c.axes[axis].ay}, {c.axes[axis].az}) is not exactly y or z; "
                 f"general y-z rotations have no OpenQASM 2.0 gate in this subset"
             )
-        angle = -angle or 0.0
+        angle = sign * angle or 0.0
         lines.append(f"{name}({angle!r}) q[{c.n - target}];")
     return "\n".join(lines) + "\n"

@@ -64,7 +64,8 @@ def make_state(n: int, amplitudes, *, normalize: bool = False) -> StateVector:
     if normalize:
         parts /= np.abs(parts).max()  # first, so that the squares stay within the float range
         parts /= math.sqrt(float(np.sum(parts * parts)))
-    sq_norm = float(np.sum(np.abs(amps) ** 2))
+    with np.errstate(over="ignore"):  # huge amplitudes give inf, rejected below
+        sq_norm = float(np.sum(np.abs(amps) ** 2))
     if abs(sq_norm - 1.0) > NORM_ATOL:
         raise ValueError(
             f"state is not normalized: sum |a_i|^2 = {sq_norm!r} "

@@ -103,9 +103,9 @@ def _inverse(cascade: list[UcrGate]) -> list[UcrGate]:
     return [UcrGate(g.controls, g.target, g.axis, -g.angles) for g in reversed(cascade)]
 
 
-# Most cascade skeletons kept at once. One qubit count uses up to four
-# layouts (disentangle, prepare with and without mirrored ladders,
-# prepare_from_basis); a prepare skeleton at n = 16 holds 6.3 MB.
+# Most cascade skeletons kept at once. One qubit count uses three layouts
+# (disentangle, prepare, prepare_from_basis); a prepare skeleton at n = 16
+# holds 6.3 MB.
 SKELETON_CACHE_SIZE = 8
 
 Layout = tuple[tuple[tuple[int, ...], int, Axis], ...]
@@ -117,31 +117,30 @@ class _Skeleton:
 
     ``control``, ``target`` and ``axis`` are views of one read-only array
     and are shared by every circuit compiled from this skeleton. ``ladders``
-    holds, per UCR, the output row of its ladder's first rotation, whether
-    the ladder is mirrored, and whether that rotation merged into the row
-    before it.
+    holds, per UCR, the output row of its ladder's first rotation and
+    whether that rotation merged into the row before it.
     """
 
     control: np.ndarray
     target: np.ndarray
     axis: np.ndarray
     axes: tuple[Axis, ...]
-    ladders: tuple[tuple[int, bool, bool], ...]
+    ladders: tuple[tuple[int, bool], ...]
 
 
 @functools.lru_cache(maxsize=SKELETON_CACHE_SIZE)
-def _skeleton(layout: Layout, mirrored: bool) -> _Skeleton:
+def _skeleton(layout: Layout) -> _Skeleton:
     """Lay every UCR's ladder out in turn and apply the seam rule (see _compile)."""
-    flips = [bool(index % 2) != mirrored for index in range(len(layout))]
     columns = [
-        ladder_controls(controls, mirrored=flip) for (controls, _, _), flip in zip(layout, flips)
+        ladder_controls(controls, mirrored=index % 2 == 1)
+        for index, (controls, _, _) in enumerate(layout)
     ]
     base = np.zeros((3, sum(ladder.size for ladder in columns)), dtype=np.int32)
     control, target, axis = base
     axes: dict[Axis, int] = {}
     rows = []
     end = 0  # rows written so far
-    for (_, t, ax), ladder, flip in zip(layout, columns, flips):
+    for index, ((_, t, ax), ladder) in enumerate(zip(layout, columns)):
         a = axes.setdefault(ax, len(axes))
         head = ladder[0], t, 0 if ladder[0] else a
         skip = end > 0 and (control[end - 1], target[end - 1], axis[end - 1]) == head
@@ -154,15 +153,13 @@ def _skeleton(layout: Layout, mirrored: bool) -> _Skeleton:
         axis[end : end + size] = (ladder[skip:] == 0) * a
         # ladder row r sits at output row end - skip + r; a mirrored ladder
         # of more than one row opens with a CNOT
-        rows.append((end - skip + (flip and ladder.size > 1), flip, merged))
+        rows.append((end - skip + (index % 2 == 1 and ladder.size > 1), merged))
         end += size
     base.flags.writeable = False
     return _Skeleton(base[0, :end], base[1, :end], base[2, :end], tuple(axes), tuple(rows))
 
 
-def _compile(
-    n: int, ucrs: list[UcrGate], residual: float, mirrored: bool = False
-) -> SynthesisResult:
+def _compile(n: int, ucrs: list[UcrGate], residual: float) -> SynthesisResult:
     """Lower a list of UCR pairs to one circuit, cancel at the seams and count it.
 
     Consecutive UCRs 2m, 2m + 1 form a pair on one target and controls:
@@ -170,9 +167,6 @@ def _compile(
     of each pair uses the horizontally mirrored ladder, so its opening
     CNOT faces the first member's closing twin and cancels; this is the
     only pairing that cancels, and it realizes the headline CNOT count.
-    mirrored=True flips the variant of every ladder, giving the equally
-    exact mirrored realization at the cost of those 2(n - 1) cancellations
-    per cascade.
 
     Ladders alternate rotations and CNOTs, so only the two gates facing
     each other across a seam can reduce: identical CNOTs cancel, rotations
@@ -182,14 +176,14 @@ def _compile(
     fixpoint of the joined ladders.
 
     None of this depends on the angles, so the gate columns are built once
-    per (UCR layout, mirrored) and cached; a call only computes each
-    ladder's rotation angles and writes them into a fresh angle column.
+    per UCR layout and cached; a call only computes each ladder's rotation
+    angles and writes them into a fresh angle column.
     """
     layout = tuple((g.controls, g.target, g.axis) for g in ucrs)
-    skeleton = _skeleton(layout, mirrored)
+    skeleton = _skeleton(layout)
     angle = np.zeros(skeleton.control.size)
-    for g, (row, flip, merged) in zip(ucrs, skeleton.ladders):
-        theta = ladder_angles(g, mirrored=flip)
+    for index, (g, (row, merged)) in enumerate(zip(ucrs, skeleton.ladders)):
+        theta = ladder_angles(g, mirrored=index % 2 == 1)
         if merged:
             angle[row] += theta[0]
             row, theta = row + 2, theta[1:]
@@ -213,23 +207,17 @@ def disentangle(x: StateVector) -> SynthesisResult:
     return _compile(x.n, _cascade(angle_schedule(x)), _mean_phase(x))
 
 
-def prepare(a: StateVector, b: StateVector, *, mirrored: bool = False) -> SynthesisResult:
+def prepare(a: StateVector, b: StateVector) -> SynthesisResult:
     """Circuit C with C|a> = e^(i phi) |b>, phi = residual_phase.
 
     Composes the cascade of a with the inverse cascade of b; the junction
     merges the two uncontrolled y-rotations on qubit 1, landing the counts
     on 2**(n+2) - 4n - 4 CNOTs and 2**(n+2) - 5 rotations.
-
-    mirrored=True lowers every uniformly controlled rotation with the
-    horizontally mirrored ladder instead. The result is equally exact and
-    keeps the rotation count, but the boundary CNOT pairs inside each
-    cascade stage no longer face each other, so 4(n - 1) CNOTs that would
-    otherwise cancel survive.
     """
     if a.n != b.n:
         raise DimensionError(f"qubit counts differ: {a.n} vs {b.n}")
     ucrs = _cascade(angle_schedule(a)) + _inverse(_cascade(angle_schedule(b)))
-    return _compile(a.n, ucrs, _mean_phase(a) - _mean_phase(b), mirrored)
+    return _compile(a.n, ucrs, _mean_phase(a) - _mean_phase(b))
 
 
 def prepare_from_basis(i: int, b: StateVector) -> SynthesisResult:

@@ -243,22 +243,25 @@ def test_export_qasm_to_file(tmp_path):
     assert "qreg q[2];" in target.read_text()
 
 
-def test_mirror_flag_mirrored_ladders_verify(tmp_path, capsys):
-    n = 3
-    a, b = write_states(tmp_path, n=n)
-    plain = tmp_path / "plain.json"
-    mirrored = tmp_path / "mirrored.json"
-    assert main(["synth", str(a), str(b), "--json", str(plain)]) == 0
-    assert main(["synth", str(a), str(b), "--mirror", "--json", str(mirrored)]) == 0
-    capsys.readouterr()
-    c1, m1 = load_circuit(plain.read_text())
-    c2, m2 = load_circuit(mirrored.read_text())
-    assert m1["counts"]["rot"] == m2["counts"]["rot"]
-    # mirrored ladders forgo the 4(n - 1) boundary-CNOT cancellations
-    assert m2["counts"]["cnot"] == m1["counts"]["cnot"] + 4 * (n - 1)
-    assert c1 != c2
-    assert abs(m1["residual_phase"] - m2["residual_phase"]) <= 1e-9
-    assert main(["verify", str(mirrored), str(a), str(b)]) == 0
+def test_mirror_flag_is_gone(tmp_path, capsys):
+    # one realization; the mirrored ladders come from lower_ucr(..., mirrored=True)
+    a, b = write_states(tmp_path)
+    err = usage_error(["synth", str(a), str(b), "--mirror"], capsys)
+    assert "unrecognized arguments: --mirror" in err
+
+
+def test_huge_amplitudes_give_one_error_line(tmp_path):
+    # squaring 1e200 overflows; the error alone reaches stderr, even under -W error
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 1, "amplitudes": [[1e200, 0], [1e200, 0]]}))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ucrsynth.cli", "synth", str(huge), str(huge)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(f"error: {huge}: state is not normalized: sum |a_i|^2 = inf")
 
 
 def test_prune_epsilon_shrinks_degenerate_circuits(tmp_path, capsys):
@@ -351,6 +354,13 @@ def test_unwritable_output_paths_exit_4(tmp_path, capsys):
         assert main(argv) == 4, argv
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {missing}: ")
+
+
+def test_bench_json_record_that_is_a_directory_exits_4(tmp_path, capsys):
+    # a record that cannot be read is an output failure (4), not malformed JSON (2)
+    assert main(["bench", "--n-max", "1", "--json", str(tmp_path)]) == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {tmp_path}: ")
 
 
 def usage_error(argv, capsys) -> str:

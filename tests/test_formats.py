@@ -19,6 +19,7 @@ from ucrsynth import (
     ParseError,
     Rot,
     StateVector,
+    circuit_unitary,
     disentangle,
     dump_circuit,
     dump_state,
@@ -206,6 +207,24 @@ def test_qasm_rejects_general_axis():
     c = Circuit(1, (Rot(Axis(0.6, 0.8), 1, 0.3),))
     with pytest.raises(ExportError):
         export_qasm(c)
+
+
+def test_qasm_exports_negated_y_and_z_axes():
+    # R_-a(angle) = R_a(-angle): -y and -z export as ry/rz with the angle negated
+    minus_y, minus_z = Axis(-1.0, 0.0), Axis(0.0, -1.0)
+    angles = (0.4, -1.5, 0.0, -0.0, math.pi)
+    negated = Circuit(2, tuple(
+        gate for t in angles
+        for gate in (Rot(minus_y, 1, t), Cnot(1, 2), Rot(minus_z, 2, t))
+    ))
+    plain = Circuit(2, tuple(
+        gate for t in angles
+        for gate in (Rot(AXIS_Y, 1, -t), Cnot(1, 2), Rot(AXIS_Z, 2, -t))
+    ))
+    assert export_qasm(negated) == export_qasm(plain)
+    assert "ry(0.4) q[1];" in export_qasm(negated).splitlines()
+    assert "ry(-0.0) q[1];" not in export_qasm(negated).splitlines()
+    assert np.array_equal(circuit_unitary(negated), circuit_unitary(plain))
 
 
 def test_qasm_deterministic_bytes():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,15 @@ def test_normalize_survives_huge_and_tiny_amplitudes():
         make_state(1, [0.0, 0.0], normalize=True)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"= inf \(pass normalize"):
         make_state(1, [1e200, 1e200])
+
+
+def test_unnormalized_huge_amplitudes_raise_no_warning():
+    # the squared norm overflows to inf; that is the error, without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for amplitudes in ([1e200, 1e200], [complex(1.7e308, -1.7e308), 0.0]):
+            with pytest.raises(ValueError, match=r"= inf \(pass normalize"):
+                make_state(1, amplitudes)
 
 
 def test_make_state_rejects_non_finite():

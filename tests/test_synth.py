@@ -157,14 +157,23 @@ def test_prepare_mirrored_realization():
     for n in range(1, 6):
         a = random_state(n, 520 + n)
         b = random_state(n, 620 + n)
-        result = prepare(a, b, mirrored=True)
-        assert result.counts["rot"] == full_counts(n)["rot"]
-        assert result.counts["cnot"] == full_counts(n)["cnot"] + 4 * (n - 1)
-        ov = overlap(result.circuit, a, b)
+        circuit = mirrored_realization(a, b)
+        counts = gate_counts(circuit)
+        assert counts["rot"] == full_counts(n)["rot"]
+        assert counts["cnot"] == full_counts(n)["cnot"] + 4 * (n - 1)
+        ov = overlap(circuit, a, b)
         assert abs(ov) >= 1.0 - 1e-9
-        assert abs(wrap_angle(math.atan2(ov.imag, ov.real) - result.residual_phase)) <= 1e-9
+        expect = wrap_angle(mean_phase(a) - mean_phase(b))
+        assert abs(wrap_angle(math.atan2(ov.imag, ov.real) - expect)) <= 1e-9
         if n > 1:
-            assert result.circuit != prepare(a, b).circuit
+            assert circuit != prepare(a, b).circuit
+
+
+def test_prepare_takes_no_mirrored_option():
+    # one realization: the mirrored one is built from lower_ucr(..., mirrored=True)
+    a, b = random_state(2, 1), random_state(2, 2)
+    with pytest.raises(TypeError):
+        prepare(a, b, mirrored=True)
 
 
 def test_prepare_identity_pair():
@@ -308,6 +317,12 @@ def simplified_ladders(n, ucrs, mirrored=False):
     return simplify(Circuit(n, tuple(gates)))
 
 
+def mirrored_realization(a, b):
+    """prepare(a, b)'s UCRs with every ladder flipped, so the first of each pair mirrored."""
+    ucrs = cascade(angle_schedule(a)) + inverse(cascade(angle_schedule(b)))
+    return simplified_ladders(a.n, ucrs, mirrored=True)
+
+
 def angle_bits(c):
     return [g.angle.hex() for g in c.gates if isinstance(g, Rot)]
 
@@ -339,22 +354,26 @@ def test_single_path_matches_lowered_halves_joined_by_dagger():
                     -mean_phase(b),
                 ),
             ]
-            for mirrored in (False, True):
-                forward = lowered_half(angle_schedule(a), mirrored)
-                backward = dagger(lowered_half(angle_schedule(b), mirrored))
-                expect = simplify(Circuit(n, forward.gates + backward.gates))
-                cases.append((prepare(a, b, mirrored=mirrored), expect, mean_phase(a) - mean_phase(b)))
+            forward = lowered_half(angle_schedule(a))
+            backward = dagger(lowered_half(angle_schedule(b)))
+            expect = simplify(Circuit(n, forward.gates + backward.gates))
+            cases.append((prepare(a, b), expect, mean_phase(a) - mean_phase(b)))
             for result, expect, residual in cases:
                 assert result.circuit.gates == expect.gates
                 assert result.counts == gate_counts(expect)
                 assert result.residual_phase == wrap_angle(residual)
+            # and the mirrored realization the other tests build from lower_ucr
+            forward = lowered_half(angle_schedule(a), mirrored=True)
+            backward = dagger(lowered_half(angle_schedule(b), mirrored=True))
+            expect = simplify(Circuit(n, forward.gates + backward.gates))
+            assert mirrored_realization(a, b).gates == expect.gates
 
 
 def test_skeleton_cache_reuse_and_eviction():
-    # four layouts per qubit count, two state pairs each, n = 1..9 visited
+    # three layouts per qubit count, two state pairs each, n = 1..9 visited
     # twice: more layouts than the cache holds, so results come from built,
     # reused and rebuilt skeletons
-    assert 4 * 9 > SKELETON_CACHE_SIZE >= 4
+    assert 3 * 9 > SKELETON_CACHE_SIZE >= 3
     before = _skeleton.cache_info()
     rng = np.random.default_rng(31)
     for n in [*range(1, 10)] * 2:
@@ -367,17 +386,16 @@ def test_skeleton_cache_reuse_and_eviction():
                 (prepare(a, b), simplified_ladders(n, ucrs)),
                 (prepare_from_basis(i, b),
                  simplified_ladders(n, inverse(cascade(relabeled_schedule(i, b))))),
-                (prepare(a, b, mirrored=True), simplified_ladders(n, ucrs, mirrored=True)),
                 (disentangle(a), simplified_ladders(n, cascade(schedule_a))),
             ]
             for result, expect in cases:
                 assert result.circuit == expect
                 assert angle_bits(result.circuit) == angle_bits(expect)
     after = _skeleton.cache_info()
-    # the second pair of each visit reuses four skeletons; every layout was
+    # the second pair of each visit reuses three skeletons; every layout was
     # evicted before its second visit and is rebuilt then
-    assert after.hits - before.hits >= 4 * 18
-    assert after.misses - before.misses >= 4 * 9
+    assert after.hits - before.hits >= 3 * 18
+    assert after.misses - before.misses >= 3 * 9
     assert after.currsize == SKELETON_CACHE_SIZE
 
 

@@ -18,6 +18,7 @@ from ucrsynth import (
     basis_state,
     bounds,
     disentangle,
+    gate_counts,
     make_state,
     phases,
     prepare,
@@ -31,6 +32,7 @@ from test_synth import (
     full_counts,
     half_counts,
     inverse,
+    mirrored_realization,
     relabeled_schedule,
     simplified_ladders,
 )
@@ -73,10 +75,8 @@ def results(a, b, i):
     schedule_a, schedule_b = angle_schedule(a), angle_schedule(b)
     out = [(disentangle(a), simplified_ladders(n, cascade(schedule_a)), a, basis_state(n),
             mean_phase(a))]
-    for mirrored in (False, True):
-        ucrs = cascade(schedule_a) + inverse(cascade(schedule_b))
-        out.append((prepare(a, b, mirrored=mirrored), simplified_ladders(n, ucrs, mirrored),
-                    a, b, mean_phase(a) - mean_phase(b)))
+    ucrs = cascade(schedule_a) + inverse(cascade(schedule_b))
+    out.append((prepare(a, b), simplified_ladders(n, ucrs), a, b, mean_phase(a) - mean_phase(b)))
     out.append((prepare_from_basis(i, b),
                 simplified_ladders(n, inverse(cascade(relabeled_schedule(i, b)))),
                 basis_state(n, i), b, -mean_phase(b)))
@@ -102,12 +102,21 @@ def test_counts_within_bounds_and_exact_for_generic_states(case):
     half = [disentangle(a).counts, prepare_from_basis(i, b).counts]
     for counts in half:
         assert counts["cnot"] <= half_counts(n)["cnot"] and counts["rot"] <= half_counts(n)["rot"]
-    mirrored = prepare(a, b, mirrored=True).counts
+    mirrored = gate_counts(mirrored_realization(a, b))
     assert mirrored["rot"] == full["rot"]
     if kind_a == kind_b == "haar":
         assert full == full_counts(n)
         assert half == [half_counts(n)] * 2
         assert mirrored["cnot"] == full["cnot"] + 4 * (n - 1)
+
+
+def assert_maps(circuit, source, target, phase):
+    """circuit takes source to e^(i phase) target: fidelity and simulated phase."""
+    out = apply_circuit(source, circuit)
+    overlap = complex(np.vdot(target.amplitudes, out.amplitudes))
+    assert abs(overlap) >= 1.0 - 1e-9
+    simulated = math.atan2(overlap.imag, overlap.real)
+    assert abs(wrap_angle(simulated - phase)) <= 1e-9
 
 
 @settings(deadline=None)
@@ -116,8 +125,6 @@ def test_fidelity_and_residual_phase(case):
     _, _, a, _, b, i = case
     for result, _, source, target, formula in results(a, b, i):
         assert result.residual_phase == wrap_angle(formula)
-        out = apply_circuit(source, result.circuit)
-        overlap = complex(np.vdot(target.amplitudes, out.amplitudes))
-        assert abs(overlap) >= 1.0 - 1e-9
-        simulated = math.atan2(overlap.imag, overlap.real)
-        assert abs(wrap_angle(simulated - result.residual_phase)) <= 1e-9
+        assert_maps(result.circuit, source, target, result.residual_phase)
+    # the mirrored realization carries the same phase
+    assert_maps(mirrored_realization(a, b), a, b, wrap_angle(mean_phase(a) - mean_phase(b)))
