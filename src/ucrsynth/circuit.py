@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from .gray import alpha_to_theta, gray_permutation
+from .state import check_qubit_count
 
 AXIS_ATOL = 1e-12
 
@@ -89,6 +91,8 @@ class UcrGate:
 
     def __post_init__(self):
         object.__setattr__(self, "angles", np.asarray(self.angles, dtype=np.float64))
+        if not all(isinstance(q, Integral) for q in (self.target, *self.controls)):
+            raise ValueError(f"UCR qubits must be integers, got {self.controls} -> {self.target}")
         if self.target in self.controls:
             raise ValueError(f"target qubit {self.target} also listed as control")
         if len(set(self.controls)) != len(self.controls):
@@ -126,15 +130,16 @@ class Circuit:
     def __init__(self, n: int, gates: Iterable[Gate] = ()):
         gates = tuple(gates)
         cnot = [isinstance(g, Cnot) for g in gates]
+        control = [g.control if c else 0 for g, c in zip(gates, cnot)]
+        target = [g.target for g in gates]
+        if not all(issubclass(kind, Integral) for kind in set(map(type, control + target))):
+            for g, q, t in zip(gates, control, target):
+                if not (isinstance(q, Integral) and isinstance(t, Integral)):
+                    raise ValueError(f"gate {g} has a non-integer qubit index")
         index: dict[Axis, int] = {}
-        self._fill(
-            n,
-            [g.control if c else 0 for g, c in zip(gates, cnot)],
-            [g.target for g in gates],
-            [0 if c else index.setdefault(g.axis, len(index)) for g, c in zip(gates, cnot)],
-            tuple(index),
-            [0.0 if c else g.angle for g, c in zip(gates, cnot)],
-        )
+        axis = [0 if c else index.setdefault(g.axis, len(index)) for g, c in zip(gates, cnot)]
+        angle = [0.0 if c else g.angle for g, c in zip(gates, cnot)]
+        self._fill(n, control, target, axis, tuple(index), angle)
         self.__post_init__(np.array(cnot, dtype=bool))
 
     @classmethod
@@ -154,15 +159,14 @@ class Circuit:
         self.angle = _column(angle, np.float64, "angle beyond the float range")
 
     def __post_init__(self, cnot: np.ndarray) -> None:
-        """Boundary check: n >= 1, CNOT control != target, qubits in 1..n,
-        finite angles.
+        """Boundary check: n an integer >= 1, CNOT control != target, qubits
+        in 1..n, finite angles.
 
         ``cnot`` marks the CNOT rows, since a CNOT read with control 0 is
         indistinguishable from a rotation in the columns alone.
         """
         n, control, target = self.n, self.control, self.target
-        if n < 1:
-            raise ValueError(f"qubit count must be >= 1, got {n}")
+        check_qubit_count(n)
         coincide = cnot & (control == target)
         if coincide.any():
             q = int(control[np.argmax(coincide)])
@@ -265,7 +269,7 @@ def lower_ucr(g: UcrGate, n: int | None = None, *, mirrored: bool = False) -> Ci
             raise ValueError(f"UCR qubit {q} outside 1..{n}")
     control = ladder_controls(g.controls, mirrored=mirrored)
     angle = np.zeros(control.size)
-    angle[control == 0] = ladder_angles(g, mirrored=mirrored)
+    angle[control == 0] = ladder_angles(g.angles, mirrored=mirrored)
     zeros = np.zeros(control.size, dtype=np.int32)
     return Circuit._from_columns(n, control, zeros + g.target, zeros, (g.axis,), angle)
 
@@ -289,13 +293,13 @@ def ladder_controls(controls: tuple[int, ...], *, mirrored: bool = False) -> np.
     return control[::-1] if mirrored else control
 
 
-def ladder_angles(g: UcrGate, *, mirrored: bool = False) -> np.ndarray:
-    """Rotation angles of g's ladder in time order.
+def ladder_angles(alpha: np.ndarray, *, mirrored: bool = False) -> np.ndarray:
+    """Rotation angles, in time order, of the ladder of a UCR with block angles alpha.
 
     These are the Gray-ordered thetas of ``alpha_to_theta``, reversed for
     the mirrored ladder; they fill the rows where the control column is 0.
     """
-    theta = alpha_to_theta(g.angles)
+    theta = alpha_to_theta(alpha)
     return theta[::-1] if mirrored else theta
 
 

@@ -26,11 +26,13 @@ def gray(m: int) -> int:
     return m ^ (m >> 1)
 
 
-def _check_power_of_two(length: int) -> int:
-    """Return k with length == 2**k, or raise."""
-    if length < 1 or length & (length - 1):
-        raise ValueError(f"angle vector length {length} is not a power of two")
-    return length.bit_length() - 1
+def _check_power_of_two(values: np.ndarray) -> int:
+    """Return k with values a 1-D array of 2**k entries, or raise."""
+    if values.ndim != 1:
+        raise ValueError(f"angles must be one-dimensional, got shape {values.shape}")
+    if values.size < 1 or values.size & (values.size - 1):
+        raise ValueError(f"angle vector length {values.size} is not a power of two")
+    return values.size.bit_length() - 1
 
 
 def sign_matrix(k: int) -> np.ndarray:
@@ -44,7 +46,7 @@ def sign_matrix(k: int) -> np.ndarray:
 def alpha_to_theta_dense(alpha: np.ndarray) -> np.ndarray:
     """Reference implementation of theta = M alpha via the dense matrix."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    k = _check_power_of_two(alpha.size)
+    k = _check_power_of_two(alpha)
     return sign_matrix(k).astype(np.float64) @ alpha / (1 << k)
 
 
@@ -94,7 +96,7 @@ def alpha_to_theta(alpha: np.ndarray) -> np.ndarray:
     Hadamard transform of alpha read out at position gray(i).
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    k = _check_power_of_two(alpha.size)
+    k = _check_power_of_two(alpha)
     spectrum = _fwht(alpha)
     return spectrum[gray_permutation(k)] / (1 << k)
 
@@ -102,7 +104,7 @@ def alpha_to_theta(alpha: np.ndarray) -> np.ndarray:
 def theta_to_alpha(theta: np.ndarray) -> np.ndarray:
     """Exact inverse of alpha_to_theta: scatter by Gray code, then transform."""
     theta = np.asarray(theta, dtype=np.float64)
-    k = _check_power_of_two(theta.size)
+    k = _check_power_of_two(theta)
     scattered = np.empty_like(theta)
     scattered[gray_permutation(k)] = theta
     return _fwht(scattered)

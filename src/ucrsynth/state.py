@@ -8,6 +8,7 @@ bit. Every module in the package inherits this convention.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -43,6 +44,14 @@ class StateVector:
         return f"StateVector(n={self.n}, amplitudes={self.amplitudes!r})"
 
 
+def check_qubit_count(n) -> None:
+    """Raise ValueError unless n is a Python or numpy integer >= 1."""
+    if not isinstance(n, Integral):
+        raise ValueError(f"qubit count must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"qubit count must be >= 1, got {n}")
+
+
 def make_state(n: int, amplitudes, *, normalize: bool = False) -> StateVector:
     """Validate amplitudes and wrap them as a StateVector.
 
@@ -50,8 +59,7 @@ def make_state(n: int, amplitudes, *, normalize: bool = False) -> StateVector:
     is set, in which case the vector is rescaled. A zero vector is rejected
     either way.
     """
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
+    check_qubit_count(n)
     amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
     # size == 2**n, without computing 2**n for a huge n read from a file
     if amps.size.bit_length() != n + 1 or amps.size & (amps.size - 1):
@@ -76,6 +84,7 @@ def make_state(n: int, amplitudes, *, normalize: bool = False) -> StateVector:
 
 def basis_state(n: int, index: int = 0) -> StateVector:
     """The computational basis vector with a 1 at the given amplitude index."""
+    check_qubit_count(n)
     if not 0 <= index < 1 << n:
         raise ValueError(f"basis index {index} out of range for n={n}")
     amps = np.zeros(1 << n, dtype=np.complex128)
@@ -105,8 +114,7 @@ def random_state(n: int, seed: int) -> StateVector:
     Deterministic for a given seed; all amplitudes are nonzero with
     probability 1, which keeps every rotation angle generic.
     """
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
+    check_qubit_count(n)
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     amps /= np.linalg.norm(amps)

@@ -21,13 +21,12 @@ from .circuit import (
     AXIS_Z,
     Axis,
     Circuit,
-    UcrGate,
     gate_counts,
     ladder_angles,
     ladder_controls,
 )
 from .errors import DimensionError
-from .state import StateVector, phases, wrap_angle
+from .state import StateVector, check_qubit_count, phases, wrap_angle
 
 __all__ = [
     "BoundReport",
@@ -56,8 +55,7 @@ class BoundReport:
 
 
 def bounds(n: int) -> BoundReport:
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
+    check_qubit_count(n)
     return BoundReport(
         n=n,
         upper_cnot=(1 << (n + 2)) - 4 * n - 4,
@@ -87,20 +85,23 @@ def _mean_phase(x: StateVector) -> float:
     return float(np.sum(phases(x))) / x.dim
 
 
-def _cascade(schedule: AngleSchedule) -> list[UcrGate]:
-    """UCR pair per qubit, time order j = n down to 1, z before y."""
+Level = tuple[int, Axis, np.ndarray]  # one UCR: target, axis, block angles
+
+
+def _cascade(schedule: AngleSchedule) -> list[Level]:
+    """UCR pair per qubit, time order j = n down to 1, z before y; the pair
+    on target j is controlled by qubits 1..j-1."""
     n = schedule.n
     out = []
     for j in range(n, 0, -1):
-        controls = tuple(range(1, j))
-        out.append(UcrGate(controls, j, AXIS_Z, schedule.z_levels[n - j]))
-        out.append(UcrGate(controls, j, AXIS_Y, schedule.y_levels[n - j]))
+        out.append((j, AXIS_Z, schedule.z_levels[n - j]))
+        out.append((j, AXIS_Y, schedule.y_levels[n - j]))
     return out
 
 
-def _inverse(cascade: list[UcrGate]) -> list[UcrGate]:
+def _inverse(cascade: list[Level]) -> list[Level]:
     """Inverse of a UCR list: UCRs in reverse order, angles negated."""
-    return [UcrGate(g.controls, g.target, g.axis, -g.angles) for g in reversed(cascade)]
+    return [(t, axis, -alpha) for t, axis, alpha in reversed(cascade)]
 
 
 # Most cascade skeletons kept at once. One qubit count uses three layouts
@@ -108,39 +109,25 @@ def _inverse(cascade: list[UcrGate]) -> list[UcrGate]:
 # holds 6.3 MB.
 SKELETON_CACHE_SIZE = 8
 
-Layout = tuple[tuple[tuple[int, ...], int, Axis], ...]
-
-
-@dataclass(frozen=True)
-class _Skeleton:
-    """Everything of a compiled cascade but its angle column.
-
-    ``control``, ``target`` and ``axis`` are views of one read-only array
-    and are shared by every circuit compiled from this skeleton. ``ladders``
-    holds, per UCR, the output row of its ladder's first rotation and
-    whether that rotation merged into the row before it.
-    """
-
-    control: np.ndarray
-    target: np.ndarray
-    axis: np.ndarray
-    axes: tuple[Axis, ...]
-    ladders: tuple[tuple[int, bool], ...]
-
 
 @functools.lru_cache(maxsize=SKELETON_CACHE_SIZE)
-def _skeleton(layout: Layout) -> _Skeleton:
-    """Lay every UCR's ladder out in turn and apply the seam rule (see _compile)."""
+def _skeleton(layout: tuple[tuple[int, Axis], ...]) -> tuple[Circuit, tuple[tuple[int, bool], ...]]:
+    """Lay every UCR's ladder out in turn and apply the seam rule (see _compile).
+
+    ``layout`` holds (target, axis) per UCR. Returns the circuit at zero
+    angles (read-only columns, a zero-stride angle column) and per UCR the
+    row of its ladder's first rotation and whether that merged backwards.
+    """
     columns = [
-        ladder_controls(controls, mirrored=index % 2 == 1)
-        for index, (controls, _, _) in enumerate(layout)
+        ladder_controls(tuple(range(1, t)), mirrored=index % 2 == 1)
+        for index, (t, _) in enumerate(layout)
     ]
     base = np.zeros((3, sum(ladder.size for ladder in columns)), dtype=np.int32)
     control, target, axis = base
     axes: dict[Axis, int] = {}
     rows = []
     end = 0  # rows written so far
-    for index, ((_, t, ax), ladder) in enumerate(zip(layout, columns)):
+    for index, ((t, ax), ladder) in enumerate(zip(layout, columns)):
         a = axes.setdefault(ax, len(axes))
         head = ladder[0], t, 0 if ladder[0] else a
         skip = end > 0 and (control[end - 1], target[end - 1], axis[end - 1]) == head
@@ -156,10 +143,11 @@ def _skeleton(layout: Layout) -> _Skeleton:
         rows.append((end - skip + (index % 2 == 1 and ladder.size > 1), merged))
         end += size
     base.flags.writeable = False
-    return _Skeleton(base[0, :end], base[1, :end], base[2, :end], tuple(axes), tuple(rows))
+    n, zero = max(t for t, _ in layout), np.broadcast_to(0.0, end)
+    return Circuit._from_columns(n, *base[:, :end], tuple(axes), zero), tuple(rows)
 
 
-def _compile(n: int, ucrs: list[UcrGate], residual: float) -> SynthesisResult:
+def _compile(n: int, levels: list[Level], residual: float) -> SynthesisResult:
     """Lower a list of UCR pairs to one circuit, cancel at the seams and count it.
 
     Consecutive UCRs 2m, 2m + 1 form a pair on one target and controls:
@@ -179,11 +167,10 @@ def _compile(n: int, ucrs: list[UcrGate], residual: float) -> SynthesisResult:
     per UCR layout and cached; a call only computes each ladder's rotation
     angles and writes them into a fresh angle column.
     """
-    layout = tuple((g.controls, g.target, g.axis) for g in ucrs)
-    skeleton = _skeleton(layout)
-    angle = np.zeros(skeleton.control.size)
-    for index, (g, (row, merged)) in enumerate(zip(ucrs, skeleton.ladders)):
-        theta = ladder_angles(g, mirrored=index % 2 == 1)
+    skeleton, ladders = _skeleton(tuple((t, axis) for t, axis, _ in levels))
+    angle = np.zeros(len(skeleton))
+    for index, ((_, _, alpha), (row, merged)) in enumerate(zip(levels, ladders)):
+        theta = ladder_angles(alpha, mirrored=index % 2 == 1)
         if merged:
             angle[row] += theta[0]
             row, theta = row + 2, theta[1:]
@@ -232,11 +219,8 @@ def prepare_from_basis(i: int, b: StateVector) -> SynthesisResult:
     n = b.n
     if not 0 <= i < b.dim:
         raise ValueError(f"basis index {i} out of range for n={n}")
-    schedule = angle_schedule(StateVector(n, b.amplitudes[np.arange(b.dim) ^ i]))
-    for j in range(1, n + 1):
-        cmask = i >> (n - j + 1)
+    levels = _cascade(angle_schedule(StateVector(n, b.amplitudes[np.arange(b.dim) ^ i])))
+    for index, (j, axis, alpha) in enumerate(levels):
         sign = -1.0 if (i >> (n - j)) & 1 else 1.0
-        perm = np.arange(1 << (j - 1)) ^ cmask
-        schedule.z_levels[n - j] = sign * schedule.z_levels[n - j][perm]
-        schedule.y_levels[n - j] = sign * schedule.y_levels[n - j][perm]
-    return _compile(n, _inverse(_cascade(schedule)), -_mean_phase(b))
+        levels[index] = j, axis, sign * alpha[np.arange(alpha.size) ^ (i >> (n - j + 1))]
+    return _compile(n, _inverse(levels), -_mean_phase(b))

@@ -101,6 +101,26 @@ def test_circuit_needs_a_qubit():
             Circuit(n, [])
 
 
+def test_public_constructors_reject_non_integer_qubits():
+    # each used to be truncated or accepted as given
+    with pytest.raises(ValueError, match=r"gate Cnot\(control=1.5, target=2\) has a non-integer"):
+        Circuit(2, [Cnot(1.5, 2)])
+    with pytest.raises(ValueError, match="target=1.7, angle=0.1\\) has a non-integer"):
+        Circuit(2, [Rot(AXIS_Y, 1, 0.2), Rot(AXIS_Y, 1.7, 0.1)])
+    for n in (2.5, 2.0, np.float64(2.0)):
+        with pytest.raises(ValueError, match="qubit count must be an integer, got"):
+            Circuit(n, [])
+    for controls, target in (((1.0,), 2), ((1,), 2.0), ((1, np.float64(2)), 3)):
+        with pytest.raises(ValueError, match="UCR qubits must be integers"):
+            UcrGate(controls, target, AXIS_Y, [0.1] * (1 << len(controls)))
+    # Python and numpy integers keep working
+    c = Circuit(np.int64(2), [Cnot(np.int32(1), 2), Rot(AXIS_Z, np.uint8(2), 0.1)])
+    assert c == Circuit(2, [Cnot(1, 2), Rot(AXIS_Z, 2, 0.1)])
+    assert lower_ucr(UcrGate((np.int64(1),), np.int8(2), AXIS_Y, [0.1, 0.2])) == lower_ucr(
+        UcrGate((1,), 2, AXIS_Y, [0.1, 0.2])
+    )
+
+
 def test_ucr_gate_angles_are_finite_and_one_dimensional():
     # neither reaches lower_ucr: NaN used to flow into the ladder angles, a
     # 2-D array used to raise IndexError there

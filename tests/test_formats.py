@@ -150,6 +150,25 @@ def test_circuit_file_needs_a_qubit():
             load_circuit(f'{{"n": {n}, "gates": []}}')
 
 
+def test_circuit_file_non_integer_qubits_keep_their_messages():
+    # the reader rejects these types itself, before Circuit's own check
+    cnot = '{"type": "cnot", "control": %s, "target": %s}'
+    rot = '{"type": "rot", "axis": "y", "target": %s, "angle": 0.1}'
+    cases = [
+        ('{"n": 2.5, "gates": []}', "<circuit>: n: expected int, got float"),
+        ('{"n": 2.0, "gates": []}', "<circuit>: n: expected int, got float"),
+        ('{"n": true, "gates": []}', "<circuit>: n: expected int, got bool"),
+        ('{"n": 2, "gates": [%s]}' % (cnot % ("1.5", "2")),
+         "<circuit>: gates[0].control: expected int, got float"),
+        ('{"n": 2, "gates": [%s, %s]}' % (cnot % ("1", "2"), rot % "1.7"),
+         "<circuit>: gates[1].target: expected int, got float"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as info:
+            load_circuit(text)
+        assert str(info.value) == message
+
+
 def test_qasm_empty_circuit():
     text = export_qasm(Circuit(2))
     assert text.splitlines() == [

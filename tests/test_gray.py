@@ -100,6 +100,12 @@ def test_rejects_non_power_of_two():
         alpha_to_theta(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         theta_to_alpha(np.array([]))
+    # a 2-D input used to fail inside matmul with a gufunc message
+    for transform in (alpha_to_theta, theta_to_alpha, alpha_to_theta_dense):
+        with pytest.raises(ValueError, match=r"one-dimensional, got shape \(1, 2\)"):
+            transform([[1.0, 2.0]])
+        with pytest.raises(ValueError, match=r"one-dimensional, got shape \(\)"):
+            transform(0.5)
 
 
 @st.composite

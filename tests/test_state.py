@@ -100,6 +100,21 @@ def test_basis_state():
         basis_state(2, 4)
     with pytest.raises(ValueError):
         basis_state(2, -1)
+    # n = 0 used to give a one-amplitude state
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"qubit count must be >= 1, got {n}"):
+            basis_state(n)
+
+
+def test_qubit_count_must_be_an_integer():
+    # 2.0 used to pass make_state's checks and break dim afterwards
+    for n in (2.0, 2.5, np.float64(2.0), "2"):
+        for build in (lambda: make_state(n, [1, 0, 0, 0]), lambda: basis_state(n),
+                      lambda: random_state(n, 1)):
+            with pytest.raises(ValueError, match="qubit count must be an integer"):
+                build()
+    for n in (2, np.int64(2), np.uint8(2)):
+        assert make_state(n, [0, 1, 0, 0]).dim == basis_state(n).dim == 4
 
 
 def test_fidelity():

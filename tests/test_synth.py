@@ -176,6 +176,22 @@ def test_prepare_takes_no_mirrored_option():
         prepare(a, b, mirrored=True)
 
 
+def test_entry_points_build_no_ucr_gates(monkeypatch):
+    # synthesis carries (target, axis, block angles) levels straight to the
+    # cached skeleton; UcrGate is only the input of the oracles
+    def refuse(self):
+        raise AssertionError("UcrGate built")
+
+    monkeypatch.setattr(UcrGate, "__post_init__", refuse)
+    rng = np.random.default_rng(13)
+    for n in range(1, 7):
+        a, b = random_state(n, 1300 + n), random_state(n, 1400 + n)
+        i = int(rng.integers(1 << n))
+        assert disentangle(a).counts == half_counts(n)
+        assert prepare(a, b).counts == full_counts(n)
+        assert prepare_from_basis(i, b).counts == half_counts(n)
+
+
 def test_prepare_identity_pair():
     a = random_state(4, 7)
     result = prepare(a, a)
