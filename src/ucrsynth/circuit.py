@@ -123,9 +123,13 @@ class Circuit:
     ``Circuit(n, gates)`` converts and checks gate objects at the boundary.
     ``gates`` builds fresh gate objects from the columns on every access;
     ``len`` and the columns cost nothing extra.
+
+    A synthesized result keeps in ``_skeleton`` the cached circuit whose
+    control, target and axis columns it shares, and the simulator keeps that
+    skeleton's run plan in its ``_plan``; both are None on any other circuit.
     """
 
-    __slots__ = ("n", "control", "target", "axis", "axes", "angle")
+    __slots__ = ("n", "control", "target", "axis", "axes", "angle", "_skeleton", "_plan")
 
     def __init__(self, n: int, gates: Iterable[Gate] = ()):
         gates = tuple(gates)
@@ -157,6 +161,7 @@ class Circuit:
         self.target = _column(target, np.int32, qubit)
         self.axis = _column(axis, np.int32)
         self.angle = _column(angle, np.float64, "angle beyond the float range")
+        self._skeleton = self._plan = None
 
     def __post_init__(self, cnot: np.ndarray) -> None:
         """Boundary check: n an integer >= 1, CNOT control != target, qubits
@@ -264,6 +269,7 @@ def lower_ucr(g: UcrGate, n: int | None = None, *, mirrored: bool = False) -> Ci
     """
     if n is None:
         n = max((g.target, *g.controls))
+    check_qubit_count(n)
     for q in (g.target, *g.controls):
         if not 1 <= q <= n:
             raise ValueError(f"UCR qubit {q} outside 1..{n}")

@@ -6,12 +6,13 @@ with ``M[i, j] = 2**-k * (-1)**(popcount(j & gray(i)))``. The sign matrix
 ``S = 2**k * M`` is orthogonal up to scale (``S @ S.T = 2**k * I``), so the
 inverse transform is simply ``2**k * M.T``.
 
-Both directions, and the simulator's per-run phase tables, go through one
-unnormalized Walsh-Hadamard transform, ``_fwht``. It applies the 4x4 +-1
-Hadamard matrix along each 2-bit group of the index as a matrix product,
-and a 2x2 one to the top bit when k is odd. Each output of a 4x4 block sums
-at most two equal terms per sign, so a constant input transforms to exact
-zeros past entry 0 in whatever order the product sums.
+Both directions, and the simulator's phase tables (one stack of runs per
+control count), go through one unnormalized Walsh-Hadamard transform,
+``_fwht``. It applies the 4x4 +-1 Hadamard matrix along each 2-bit group
+of the index as a matrix product, and a 2x2 one to the top bit when k is
+odd. Each output of a 4x4 block sums at most two equal terms per sign, so
+a constant input transforms to exact zeros past entry 0 in whatever order
+the product sums.
 """
 
 from __future__ import annotations
@@ -64,23 +65,25 @@ _H = tuple(_hadamard(k) for k in range(3))
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform, natural ordering, as a new array.
+    """Unnormalized Walsh-Hadamard transform along the last axis, natural
+    ordering, as a new array.
 
-    ``values`` is 1-D of length 2**k and is not modified. Index bits 0-1
-    go through one (2**k / 4, 4) @ H product; every further 2-bit group
-    is a stack of H @ (4, low) products, and an odd top bit a 2x2 one.
+    ``values`` is C-contiguous with a last axis of length 2**k and is not
+    modified; leading axes are a stack of independent inputs. Index bits
+    0-1 go through one (rows, 4) @ H product; every further 2-bit group is
+    a stack of H @ (4, low) products, and an odd top bit a 2x2 one.
     """
-    k = values.size.bit_length() - 1
+    k = values.shape[-1].bit_length() - 1
     if k < 2:
-        return _H[k] @ values
+        return values @ _H[k]
     out = values.reshape(-1, 4) @ _H[2]
     low = 4
     for _ in range(k // 2 - 1):
         out = _H[2] @ out.reshape(-1, 4, low)
         low <<= 2
     if k % 2:
-        out = _H[1] @ out.reshape(2, low)
-    return out.reshape(-1)
+        out = _H[1] @ out.reshape(-1, 2, low)
+    return out.reshape(values.shape)
 
 
 def gray_permutation(k: int) -> np.ndarray:

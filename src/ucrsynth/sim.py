@@ -17,17 +17,29 @@ index. When the controls are consecutive qubits, as in every synthesized
 ladder, a rotation's bucket is then one shift of its mask and the phase
 table reshapes straight onto the control axes; other control sets gather
 the bits one by one. X**s(p) is one CNOT swap per control in the closing
-mask. A run costs one transform, one in-place pass over the amplitudes
-and those swaps, for any gate list. ``apply_gate`` applies one gate by
-its 2x2 matrix and is the per-gate oracle the fused pass is tested
-against.
+mask.
+
+Only the angles change between results of one gate layout, so a pass has
+two steps. ``_run_plan`` reads the control, target and axis columns and
+returns the runs, each with its closing swaps and pair-view shape, and
+every rotation's slot in one phase table, where the runs are stacked by
+control count k. A call then bins all angles with one bincount,
+transforms each k's stack once and takes one cos and one sin; per run it
+makes only one in-place pass over the amplitude pairs and the swaps. A
+synthesized result reaches the plan kept on the cached skeleton whose
+columns it shares; any other circuit builds its plan on every call.
+``apply_gate`` applies one gate by its 2x2 matrix and is the per-gate
+oracle the fused pass is tested against.
 """
 
 from __future__ import annotations
 
+import itertools
+from typing import NamedTuple
+
 import numpy as np
 
-from .circuit import Axis, Circuit, Cnot, Gate, UcrGate, rot_matrix
+from .circuit import Circuit, Cnot, Gate, UcrGate, rot_matrix
 from .errors import DimensionError
 from .gray import _fwht
 from .state import StateVector
@@ -62,77 +74,27 @@ def _cnot(amps: np.ndarray, c_pos: int, t_pos: int) -> None:
         block[:, [0, 1]] = block[:, [1, 0]]
 
 
-def _apply_run(
-    view: np.ndarray,
-    target: int,
-    axis: Axis | None,
-    used: int,
-    final: int,
-    masks: np.ndarray,
-    angles: np.ndarray,
-) -> None:
-    """Apply one run in place; masks hold each control at its index bit.
+class _Plan(NamedTuple):
+    """What simulating a circuit needs besides its angles; see _run_plan."""
 
-    Control qubit q is bit n_bits - q, as in the amplitude index. ``used``
-    holds every control of the run, ``final`` the mask after its last
-    CNOT, and ``masks[j]`` the mask in force at rotation ``j``.
-    """
-    n_bits = view.ndim
-    bits = [b for b in range(n_bits) if used >> b & 1]
-    k = len(bits)
-    if axis is not None:
-        # bucket bit i is control bits[i], so the (2,) * k phase table lists
-        # the controls in qubit order, as the pair views below do
-        lo = bits[0] if k else 0
-        if used >> lo == (1 << k) - 1:  # consecutive qubits: every ladder
-            pattern = (masks >> lo) & ((1 << k) - 1)
-        else:
-            pattern = np.zeros(masks.size, dtype=np.int64)
-            for i, b in enumerate(bits):
-                pattern |= ((masks >> b) & 1) << i
-        half = 0.5 * _fwht(np.bincount(pattern, weights=angles, minlength=1 << k))
-        # the target axis drops out of the pair views
-        shape = [1] * (n_bits - 1)
-        for b in bits:
-            q = n_bits - b
-            shape[q - 1 if q < target else q - 2] = 2
-        cos_h = np.cos(half).reshape(shape)
-        sin_h = np.sin(half).reshape(shape)
-        lead = (slice(None),) * (target - 1)
-        a0 = view[lead + (0, ...)]
-        a1 = view[lead + (1, ...)]
-        if axis.az:
-            r00 = cos_h + 1j * (axis.az * sin_h)
-            r11 = r00.conj()
-        else:
-            r00 = r11 = cos_h
-        if axis.ay:
-            r01 = axis.ay * sin_h
-            off0 = a1 * r01
-            off1 = a0 * r01
-            a0 *= r00
-            a0 += off0
-            a1 *= r11
-            a1 -= off1
-        else:
-            a0 *= r00
-            a1 *= r11
-    # X**parity(p & final) on the target is one CNOT per control in final
-    flat = view.reshape(-1)
-    for b in bits:
-        if final >> b & 1:
-            _cnot(flat, b, n_bits - target)
+    rots: np.ndarray  # rotation rows
+    bucket: np.ndarray  # per rotation row, its slot in the phase table
+    size: int  # phase table length
+    groups: tuple[tuple[int, int, int], ...]  # (k, first slot, end slot) per control count
+    runs: tuple[tuple[int, int | None, slice | None, tuple[int, ...], tuple[int, ...]], ...]
+    # per run: target; axis index and slots, both None without rotations;
+    # the pair-view shape of its phase table; its closing swap bits
 
 
-def _apply_fused(amps: np.ndarray, c: Circuit, n_bits: int) -> None:
-    """Run c over amps (2**n_bits entries, qubit q on axis q - 1) run by run.
+def _run_plan(c: Circuit, n_bits: int) -> _Plan:
+    """Plan a run-by-run pass of c over 2**n_bits amplitudes (qubit q on bit
+    n_bits - q) from its control, target and axis columns alone.
 
     A run starts where the target changes, and at a rotation about another
-    axis than the previous rotation on the same target.
+    axis than the previous rotation on the same target. A run with k
+    controls owns 2**k consecutive slots of one phase table, in which the
+    runs are grouped by k so that each group transforms as one stack.
     """
-    if not len(c):
-        return
-    view = amps.reshape((2,) * n_bits)
     new_run = np.ones(len(c), dtype=bool)
     new_run[1:] = c.target[1:] != c.target[:-1]
     rots = np.flatnonzero(c.control == 0)
@@ -144,17 +106,102 @@ def _apply_fused(amps: np.ndarray, c: Circuit, n_bits: int) -> None:
     # bit n_bits, which no qubit reads
     bits = np.left_shift(1, n_bits - c.control, dtype=np.int64)
     mask = np.bitwise_xor.accumulate(bits)  # running control mask from row 0
-    before = mask[starts] ^ bits[starts]
-    used = np.bitwise_or.reduceat(bits, starts) & ((1 << n_bits) - 1)
-    final = np.bitwise_xor.reduceat(bits, starts)
-    bounds = np.searchsorted(rots, np.append(starts, len(c)))
-    for j, start in enumerate(starts.tolist()):
-        r = rots[bounds[j] : bounds[j + 1]]
-        axis = c.axes[c.axis[r[0]]] if r.size else None
-        _apply_run(
-            view, int(c.target[start]), axis, int(used[j]), int(final[j]),
-            mask[r] ^ before[j], c.angle[r],
-        )
+    before = (mask[starts] ^ bits[starts]).tolist()
+    used = (np.bitwise_or.reduceat(bits, starts) & ((1 << n_bits) - 1)).tolist()
+    final = np.bitwise_xor.reduceat(bits, starts).tolist()
+    bounds = np.searchsorted(rots, np.append(starts, len(c))).tolist()
+    k = [u.bit_count() for u in used]
+    first, groups, size = {}, [], 0  # first slot per run with rotations
+    rotating = (j for j in range(starts.size) if bounds[j] < bounds[j + 1])
+    for kj, members in itertools.groupby(sorted(rotating, key=k.__getitem__), k.__getitem__):
+        begin = size
+        for j in members:
+            first[j] = size
+            size += 1 << kj
+        groups.append((kj, begin, size))
+    masks = mask[rots]
+    bucket = np.empty(rots.size, dtype=np.int32)
+    runs = []
+    for j, (t, start, end) in enumerate(zip(c.target[starts].tolist(), bounds, bounds[1:])):
+        # bit i of a bucket is control bits[i], so the (2,) * k phase table
+        # lists the controls in qubit order, as the pair views do
+        bits_j = [b for b in range(n_bits) if used[j] >> b & 1]
+        swaps = tuple(b for b in bits_j if final[j] >> b & 1)
+        if start == end:
+            runs.append((t, None, None, (), swaps))
+            continue
+        m = masks[start:end] ^ before[j]
+        lo = bits_j[0] if bits_j else 0
+        if used[j] >> lo == (1 << k[j]) - 1:  # consecutive qubits: every ladder
+            pattern = (m >> lo) & ((1 << k[j]) - 1)
+        else:
+            pattern = np.zeros(m.size, dtype=np.int64)
+            for i, b in enumerate(bits_j):
+                pattern |= ((m >> b) & 1) << i
+        bucket[start:end] = pattern + first[j]
+        # the target axis drops out of the pair views
+        shape = [1] * (n_bits - 1)
+        for b in bits_j:
+            q = n_bits - b
+            shape[q - 1 if q < t else q - 2] = 2
+        slots = slice(first[j], first[j] + (1 << k[j]))
+        runs.append((t, int(c.axis[rots[start]]), slots, tuple(shape), swaps))
+    return _Plan(rots.astype(np.int32), bucket, size, tuple(groups), tuple(runs))
+
+
+def _plan(c: Circuit, n_bits: int) -> _Plan:
+    """The run plan of c; a synthesized result's is built once and kept on
+    the skeleton whose columns it shares, any other circuit's on every call."""
+    home = c._skeleton
+    if home is None or n_bits != c.n:
+        return _run_plan(c, n_bits)
+    if home._plan is None:
+        home._plan = _run_plan(home, n_bits)
+    return home._plan
+
+
+def _apply_fused(amps: np.ndarray, c: Circuit, n_bits: int) -> None:
+    """Run c over amps (2**n_bits entries, qubit q on axis q - 1) run by run.
+
+    Every run's phase table comes out of one bincount, one transform per
+    control count and one cos and sin; then each run is one in-place pass
+    over the amplitude pairs and its closing swaps.
+    """
+    if not len(c):
+        return
+    plan = _plan(c, n_bits)
+    half = 0.5 * np.bincount(plan.bucket, weights=c.angle[plan.rots], minlength=plan.size)
+    for k, lo, hi in plan.groups:
+        half[lo:hi] = _fwht(half[lo:hi].reshape(-1, 1 << k)).reshape(-1)
+    cos, sin = np.cos(half), np.sin(half)
+    view = amps.reshape((2,) * n_bits)
+    for target, a, slots, shape, swaps in plan.runs:
+        if a is not None:
+            cos_h = cos[slots].reshape(shape)
+            sin_h = sin[slots].reshape(shape)
+            axis = c.axes[a]
+            lead = (slice(None),) * (target - 1)
+            a0 = view[lead + (0, ...)]
+            a1 = view[lead + (1, ...)]
+            if axis.az:
+                r00 = cos_h + 1j * (axis.az * sin_h)
+                r11 = r00.conj()
+            else:
+                r00 = r11 = cos_h
+            if axis.ay:
+                r01 = axis.ay * sin_h
+                off0 = a1 * r01
+                off1 = a0 * r01
+                a0 *= r00
+                a0 += off0
+                a1 *= r11
+                a1 -= off1
+            else:
+                a0 *= r00
+                a1 *= r11
+        # X**parity(p & final) on the target is one CNOT per control in final
+        for b in swaps:
+            _cnot(amps, b, n_bits - target)
 
 
 def apply_gate(x: StateVector, g: Gate) -> StateVector:

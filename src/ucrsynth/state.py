@@ -52,6 +52,14 @@ def check_qubit_count(n) -> None:
         raise ValueError(f"qubit count must be >= 1, got {n}")
 
 
+def check_basis_index(index, n: int) -> None:
+    """Raise ValueError unless index is a Python or numpy integer in [0, 2**n)."""
+    if not isinstance(index, Integral):
+        raise ValueError(f"basis index must be an integer, got {index!r}")
+    if not 0 <= index < 1 << n:
+        raise ValueError(f"basis index {index} out of range for n={n}")
+
+
 def make_state(n: int, amplitudes, *, normalize: bool = False) -> StateVector:
     """Validate amplitudes and wrap them as a StateVector.
 
@@ -85,8 +93,7 @@ def make_state(n: int, amplitudes, *, normalize: bool = False) -> StateVector:
 def basis_state(n: int, index: int = 0) -> StateVector:
     """The computational basis vector with a 1 at the given amplitude index."""
     check_qubit_count(n)
-    if not 0 <= index < 1 << n:
-        raise ValueError(f"basis index {index} out of range for n={n}")
+    check_basis_index(index, n)
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(n, amps)

@@ -110,6 +110,8 @@ def test_public_constructors_reject_non_integer_qubits():
     for n in (2.5, 2.0, np.float64(2.0)):
         with pytest.raises(ValueError, match="qubit count must be an integer, got"):
             Circuit(n, [])
+        with pytest.raises(ValueError, match="qubit count must be an integer, got"):
+            lower_ucr(UcrGate((1,), 2, AXIS_Y, [0.1, 0.2]), n)
     for controls, target in (((1.0,), 2), ((1,), 2.0), ((1, np.float64(2)), 3)):
         with pytest.raises(ValueError, match="UCR qubits must be integers"):
             UcrGate(controls, target, AXIS_Y, [0.1] * (1 << len(controls)))

@@ -13,6 +13,7 @@ from ucrsynth import (
     sign_matrix,
     theta_to_alpha,
 )
+from ucrsynth.gray import _fwht
 
 
 def test_gray_first_values():
@@ -143,3 +144,16 @@ def test_round_trip_large_k():
         alpha = rng.uniform(-math.pi, math.pi, 1 << k)
         back = theta_to_alpha(alpha_to_theta(alpha))
         assert np.abs(back - alpha).max() <= 1e-12 * np.abs(alpha).max()
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 9), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_fwht_transforms_a_stack_row_by_row(k, rows, seed):
+    # the simulator transforms every run with k controls as one stack
+    stack = np.random.default_rng(seed).uniform(-math.pi, math.pi, (rows, 1 << k))
+    before = stack.copy()
+    out = _fwht(stack)
+    assert out.shape == stack.shape
+    assert np.array_equal(stack, before)
+    for row, got in zip(stack, out):
+        assert np.abs(got - _fwht(row)).max() <= 1e-12

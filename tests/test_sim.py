@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
+from ucrsynth import sim
 from ucrsynth import (
     AXIS_Y,
     AXIS_Z,
@@ -23,6 +24,7 @@ from ucrsynth import (
     dagger,
     lower_ucr,
     make_state,
+    prepare,
     random_state,
     simplify,
 )
@@ -323,3 +325,24 @@ def test_fused_ladders_match_per_gate_fold(c, seed):
 def test_ladder_strategy_reaches_wide_flips():
     assert widest_flip(CUT_LADDER) == 2
     find(ladders(), lambda c: widest_flip(c) >= 3)
+
+
+def test_only_synthesized_results_reach_the_skeleton_plan(monkeypatch):
+    # product states: pruning drops the rotations whose angles vanish
+    a, b = (make_state(6, functools.reduce(np.kron, [random_state(1, 10 * s + q).amplitudes
+                                                     for q in range(6)])) for s in (1, 2))
+    result = prepare(a, b).circuit
+    pruned = simplify(result, prune_atol=1e-12)
+    assert len(pruned) < len(result)
+    built = []
+    plan = sim._run_plan
+    monkeypatch.setattr(sim, "_run_plan", lambda c, n_bits: built.append(c) or plan(c, n_bits))
+    images = [apply_circuit(a, c) for c in (result, result, pruned, pruned, dagger(result))]
+    # the result's plan is built at most once, and on its skeleton; the pruned
+    # and the daggered circuit build theirs on every call
+    home = result._skeleton
+    assert [c for c in built if c is not home] == [pruned, pruned, dagger(result)]
+    assert home._plan is not None and pruned._skeleton is None
+    for image in images[1:4]:
+        assert np.abs(image.amplitudes - images[0].amplitudes).max() <= 1e-12
+    assert np.abs(images[0].amplitudes - fold(a, result).amplitudes).max() <= 1e-12

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -100,6 +101,11 @@ def test_basis_state():
         basis_state(2, 4)
     with pytest.raises(ValueError):
         basis_state(2, -1)
+    # a float index used to raise numpy's IndexError
+    for index in (1.0, 1.5, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {index!r}")):
+            basis_state(2, index)
+    assert np.array_equal(basis_state(2, np.int64(2)).amplitudes, x.amplitudes)
     # n = 0 used to give a one-amplitude state
     for n in (0, -1):
         with pytest.raises(ValueError, match=f"qubit count must be >= 1, got {n}"):
