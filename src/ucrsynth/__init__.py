@@ -6,7 +6,7 @@ reported global phase. Ships a dense statevector simulator for
 verification and a CLI (``ucrsynth``) wrapping the pipeline.
 """
 
-from .angles import AngleSchedule, NormTree, angle_schedule, norm_tree, y_angles, z_angles
+from .angles import AngleSchedule, angle_schedule
 from .circuit import (
     AXIS_Y,
     AXIS_Z,
@@ -65,7 +65,6 @@ __all__ = [
     "DimensionError",
     "ExportError",
     "Gate",
-    "NormTree",
     "ParseError",
     "Rot",
     "StateVector",
@@ -94,7 +93,6 @@ __all__ = [
     "load_state",
     "lower_ucr",
     "make_state",
-    "norm_tree",
     "phases",
     "prepare",
     "prepare_from_basis",
@@ -105,6 +103,4 @@ __all__ = [
     "theta_to_alpha",
     "ucr_matrix",
     "wrap_angle",
-    "y_angles",
-    "z_angles",
 ]

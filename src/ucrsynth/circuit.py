@@ -20,6 +20,9 @@ from .state import check_qubit_count
 
 AXIS_ATOL = 1e-12
 
+# Most controls ucr_matrix builds a dense matrix for (2**11 rows).
+MAX_UCR_CONTROLS = 10
+
 
 @dataclass(frozen=True, slots=True)
 class Axis:
@@ -309,14 +312,14 @@ def ladder_angles(alpha: np.ndarray, *, mirrored: bool = False) -> np.ndarray:
     return theta[::-1] if mirrored else theta
 
 
-def ucr_matrix(g: UcrGate, *, max_controls: int = 10) -> np.ndarray:
+def ucr_matrix(g: UcrGate) -> np.ndarray:
     """Block-diagonal definition diag(R(angles[0]), ..., R(angles[-1])).
 
     Matrix indices run over (control pattern, target bit), target least
     significant. This is the oracle the ladder lowering is tested against.
     """
-    if g.k > max_controls:
-        raise ValueError(f"{g.k} controls exceeds the {max_controls}-control cap")
+    if g.k > MAX_UCR_CONTROLS:
+        raise ValueError(f"{g.k} controls exceeds the {MAX_UCR_CONTROLS}-control cap")
     dim = 1 << (g.k + 1)
     out = np.zeros((dim, dim), dtype=np.complex128)
     for pattern, angle in enumerate(g.angles):

@@ -11,6 +11,7 @@ import argparse
 import cmath
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import math
@@ -24,12 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import gate_counts, simplify
+from .circuit import simplify
 from .errors import DimensionError, ExportError, ParseError
 from .formats import dump_circuit, dump_state, export_qasm, load_circuit, load_state
 from .sim import apply_circuit
-from .state import StateVector, random_state, wrap_angle
-from .synth import SynthesisResult, prepare
+from .state import StateVector, make_state, random_state, wrap_angle
+from .synth import SynthesisResult, disentangle, prepare, prepare_from_basis
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -101,8 +102,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     b = _load_state_file(args.input_b, args.normalize)
     result = prepare(a, b)
     if args.prune_epsilon is not None:
-        pruned = simplify(result.circuit, prune_atol=args.prune_epsilon)
-        result = replace(result, circuit=pruned, counts=gate_counts(pruned))
+        result = replace(result, circuit=simplify(result.circuit, prune_atol=args.prune_epsilon))
     _print_report(result)
     fidelity = abs(complex(np.vdot(b.amplitudes, apply_circuit(a, result.circuit).amplitudes)))
     print(f"fidelity {fidelity!r}")
@@ -185,6 +185,39 @@ def _bench_cli(seed: int, n: int = 8) -> dict:
     return {"n": n, "synth_verify_s": best}
 
 
+def _digest_states(n: int, seed: int) -> list[StateVector]:
+    """A Haar state, the same with a random half of its amplitudes zeroed, a product state."""
+    haar = random_state(n, seed)
+    half_zero = haar.amplitudes * (np.random.default_rng(seed).permutation(1 << n) & 1)
+    qubits = [random_state(1, 16 * seed + q).amplitudes for q in range(n)]
+    product = functools.reduce(np.kron, qubits)
+    return [haar, *(make_state(n, amps, normalize=True) for amps in (half_zero, product))]
+
+
+def _digest() -> str:
+    """SHA-256 over 360 seeded results; equal digests mean bit-identical outputs.
+
+    n = 1..10; Haar, half-zero and product states, three seeds each;
+    disentangle, prepare, and prepare_from_basis at i = 0 and at a random
+    i. Each result adds n, its control, target and axis columns, its axes,
+    every angle and the residual phase by float.hex, and its counts.
+    """
+    digest = hashlib.sha256()
+    for n in range(1, 11):
+        for seed in range(100 * n, 100 * n + 3):
+            i = int(np.random.default_rng(seed).integers(1 << n))
+            for a, b in zip(_digest_states(n, 2 * seed), _digest_states(n, 2 * seed + 1)):
+                results = [disentangle(a), prepare(a, b)]
+                for r in results + [prepare_from_basis(j, b) for j in (0, i)]:
+                    c = r.circuit
+                    columns = np.stack([c.control, c.target, c.axis]).astype("<i4").tobytes().hex()
+                    floats = [v for axis in c.axes for v in (axis.ay, axis.az)]
+                    floats += [*c.angle.tolist(), r.residual_phase]
+                    words = [c.n, columns, *map(float.hex, floats), *r.counts.values()]
+                    digest.update(" ".join(map(str, words)).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def _append_run(path: str, run: dict) -> None:
     """Add one run to the {"runs": [...]} record at path, creating it if absent."""
     doc = {"runs": []}
@@ -234,6 +267,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "repeats": BENCH_REPEATS,
             "rows": rows,
             "cli": _bench_cli(args.seed),
+            "digest": _digest(),
         }
         _append_run(args.json, run)
     return EXIT_OK
@@ -288,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         metavar="PATH",
         help="append a run (machine, counts against the bounds, best-of-5 times of prepare "
-        "and apply_circuit per n and of CLI synth plus verify at n = 8) to the record at PATH",
+        "and apply_circuit per n and of CLI synth plus verify at n = 8, and a SHA-256 digest "
+        "of 360 seeded results) to the record at PATH",
     )
     bench.add_argument("--label", default=None, help="name of the run in the --json record")
     return parser

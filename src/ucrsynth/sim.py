@@ -46,6 +46,9 @@ from .state import StateVector
 
 __all__ = ["apply_gate", "apply_circuit", "apply_ucr", "circuit_unitary"]
 
+# Largest qubit count circuit_unitary builds a dense matrix for (16 MiB).
+MAX_UNITARY_QUBITS = 10
+
 
 def _check_qubits(n: int, *qubits: int) -> None:
     for q in qubits:
@@ -66,12 +69,10 @@ def _cnot(amps: np.ndarray, c_pos: int, t_pos: int) -> None:
     """Swap amplitude pairs whose control bit is set, in place."""
     lo, hi = sorted((c_pos, t_pos))
     view = amps.reshape(-1, 2, 1 << (hi - 1 - lo), 2, 1 << lo)
-    if c_pos == hi:
-        block = view[:, 1]
-        block[:, :, [0, 1]] = block[:, :, [1, 0]]
-    else:
-        block = view[:, :, :, 1]
-        block[:, [0, 1]] = block[:, [1, 0]]
+    clear = view[:, 1, :, 0] if c_pos == hi else view[:, 0, :, 1]  # target bit clear
+    saved = clear.copy()
+    clear[...] = view[:, 1, :, 1]
+    view[:, 1, :, 1] = saved
 
 
 class _Plan(NamedTuple):
@@ -255,15 +256,15 @@ def apply_ucr(x: StateVector, g: UcrGate) -> StateVector:
     return StateVector(n, amps)
 
 
-def circuit_unitary(c: Circuit, *, max_qubits: int = 10) -> np.ndarray:
+def circuit_unitary(c: Circuit) -> np.ndarray:
     """Full 2**n x 2**n matrix of a circuit, columns = images of basis states.
 
     Internally the identity matrix is flattened to a single 2**(2n) array
     whose high n bits index the row, so the circuit's qubits keep their
     axes and one fused pass left-multiplies all columns at once.
     """
-    if c.n > max_qubits:
-        raise ValueError(f"n={c.n} exceeds the {max_qubits}-qubit unitary cap")
+    if c.n > MAX_UNITARY_QUBITS:
+        raise ValueError(f"n={c.n} exceeds the {MAX_UNITARY_QUBITS}-qubit unitary cap")
     dim = 1 << c.n
     u = np.eye(dim, dtype=np.complex128)
     _apply_fused(u.reshape(-1), c, 2 * c.n)

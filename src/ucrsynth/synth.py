@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import AngleSchedule, angle_schedule
+from .angles import AngleSchedule, angle_schedule, sweep
 from .circuit import (
     AXIS_Y,
     AXIS_Z,
@@ -68,21 +68,23 @@ def bounds(n: int) -> BoundReport:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """A compiled circuit plus the phase and count bookkeeping around it.
+    """A compiled circuit plus the global phase it leaves.
 
     residual_phase is the global phase of the simulated output relative to
     the target state; it is reported, never corrected with extra gates.
+    counts and bounds are read off the circuit, so they always describe it.
     """
 
     circuit: Circuit
     residual_phase: float
-    counts: dict[str, int]
-    bounds: BoundReport
 
+    @property
+    def counts(self) -> dict[str, int]:
+        return gate_counts(self.circuit)
 
-def _mean_phase(x: StateVector) -> float:
-    """Mean per-amplitude phase, zeros counted as phase 0."""
-    return float(np.sum(phases(x))) / x.dim
+    @property
+    def bounds(self) -> BoundReport:
+        return bounds(self.circuit.n)
 
 
 Level = tuple[int, Axis, np.ndarray]  # one UCR: target, axis, block angles
@@ -148,8 +150,8 @@ def _skeleton(layout: tuple[tuple[int, Axis], ...]) -> tuple[Circuit, tuple[tupl
     return Circuit._from_columns(n, *base[:, :end], tuple(axes), zero), tuple(rows)
 
 
-def _compile(n: int, levels: list[Level], residual: float) -> SynthesisResult:
-    """Lower a list of UCR pairs to one circuit, cancel at the seams and count it.
+def _compile(levels: list[Level], residual: float) -> SynthesisResult:
+    """Lower a list of UCR pairs to one circuit and cancel at the seams.
 
     Consecutive UCRs 2m, 2m + 1 form a pair on one target and controls:
     (z, y) in a cascade, (y, z) in an inverse cascade. The second member
@@ -177,15 +179,10 @@ def _compile(n: int, levels: list[Level], residual: float) -> SynthesisResult:
             row, theta = row + 2, theta[1:]
         angle[row : row + 2 * theta.size : 2] = theta
     circuit = Circuit._from_columns(
-        n, skeleton.control, skeleton.target, skeleton.axis, skeleton.axes, angle
+        skeleton.n, skeleton.control, skeleton.target, skeleton.axis, skeleton.axes, angle
     )
     circuit._skeleton = skeleton
-    return SynthesisResult(
-        circuit=circuit,
-        residual_phase=wrap_angle(residual),
-        counts=gate_counts(circuit),
-        bounds=bounds(n),
-    )
+    return SynthesisResult(circuit=circuit, residual_phase=wrap_angle(residual))
 
 
 def disentangle(x: StateVector) -> SynthesisResult:
@@ -193,7 +190,8 @@ def disentangle(x: StateVector) -> SynthesisResult:
 
     2**(n+1) - 2n - 2 CNOTs and 2**(n+1) - 2 rotations on generic states.
     """
-    return _compile(x.n, _cascade(angle_schedule(x)), _mean_phase(x))
+    schedule = angle_schedule(x)
+    return _compile(_cascade(schedule), schedule.mean_phase)
 
 
 def prepare(a: StateVector, b: StateVector) -> SynthesisResult:
@@ -205,8 +203,9 @@ def prepare(a: StateVector, b: StateVector) -> SynthesisResult:
     """
     if a.n != b.n:
         raise DimensionError(f"qubit counts differ: {a.n} vs {b.n}")
-    ucrs = _cascade(angle_schedule(a)) + _inverse(_cascade(angle_schedule(b)))
-    return _compile(a.n, ucrs, _mean_phase(a) - _mean_phase(b))
+    source, target = angle_schedule(a), angle_schedule(b)
+    ucrs = _cascade(source) + _inverse(_cascade(target))
+    return _compile(ucrs, source.mean_phase - target.mean_phase)
 
 
 def prepare_from_basis(i: int, b: StateVector) -> SynthesisResult:
@@ -220,8 +219,10 @@ def prepare_from_basis(i: int, b: StateVector) -> SynthesisResult:
     """
     n = b.n
     check_basis_index(i, n)
-    levels = _cascade(angle_schedule(StateVector(n, b.amplitudes[np.arange(b.dim) ^ i])))
+    omega, relabel = phases(b), np.arange(b.dim) ^ i
+    levels = _cascade(sweep(omega[relabel], np.abs(b.amplitudes)[relabel]))
     for index, (j, axis, alpha) in enumerate(levels):
         sign = -1.0 if (i >> (n - j)) & 1 else 1.0
         levels[index] = j, axis, sign * alpha[np.arange(alpha.size) ^ (i >> (n - j + 1))]
-    return _compile(n, _inverse(levels), -_mean_phase(b))
+    # b's own phases: summing the relabeled ones would reorder the sum
+    return _compile(_inverse(levels), -float(np.sum(omega)) / b.dim)

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ucrsynth import angle_schedule, make_state, norm_tree, phases, random_state, y_angles, z_angles
+from ucrsynth import angle_schedule, make_state, phases, random_state
 
 
 def naive_z_level(omega, k):
@@ -34,55 +36,65 @@ def naive_y_level(amps, k):
     return out
 
 
+@st.composite
+def states(draw):
+    """Haar-random states on n = 1..8 qubits with a random pattern of zero amplitudes."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    amps[rng.random(1 << n) < draw(st.floats(0.0, 1.0))] = 0.0
+    if not amps.any():
+        amps[rng.integers(1 << n)] = 1.0
+    return make_state(n, amps, normalize=True)
+
+
 def test_z_levels_frozen_example():
     x = make_state(2, np.array([1.0, 1.0j, 1.0, 1.0j]) / 2.0)
-    levels = z_angles(x)
+    levels = angle_schedule(x).z_levels
     assert levels[0] == pytest.approx([math.pi / 2, math.pi / 2])
     assert levels[1] == pytest.approx([0.0])
 
 
 def test_y_levels_frozen_bell():
     bell = make_state(2, [1.0, 0.0, 0.0, 1.0], normalize=True)
-    levels = y_angles(bell)
+    levels = angle_schedule(bell).y_levels
     assert levels[0] == pytest.approx([0.0, math.pi])
     assert levels[1] == pytest.approx([math.pi / 2])
 
 
-def test_norm_tree_shapes_and_root():
-    x = random_state(4, 0)
-    tree = norm_tree(x)
-    assert [level.size for level in tree.levels] == [8, 4, 2, 1]
-    assert tree.root == pytest.approx(1.0, abs=1e-12)
+@settings(deadline=None, max_examples=60)
+@given(states())
+def test_z_levels_match_naive(x):
+    omega = list(phases(x))
+    levels = angle_schedule(x).z_levels
+    assert len(levels) == x.n
+    for k, level in enumerate(levels, start=1):
+        assert level == pytest.approx(naive_z_level(omega, k), abs=1e-12)
 
 
-def test_z_levels_match_naive(seed=11):
-    for n in range(1, 7):
-        x = random_state(n, seed + n)
-        omega = phases(x)
-        for k, level in enumerate(z_angles(x), start=1):
-            assert level == pytest.approx(naive_z_level(list(omega), k), abs=1e-12)
-
-
-def test_y_levels_match_naive(seed=12):
-    for n in range(1, 7):
-        x = random_state(n, seed + n)
-        for k, level in enumerate(y_angles(x), start=1):
-            assert level == pytest.approx(naive_y_level(x.amplitudes, k), abs=1e-12)
+@settings(deadline=None, max_examples=60)
+@given(states())
+def test_y_levels_match_naive(x):
+    levels = angle_schedule(x).y_levels
+    assert len(levels) == x.n
+    for k, level in enumerate(levels, start=1):
+        assert level == pytest.approx(naive_y_level(x.amplitudes, k), abs=1e-12)
 
 
 def test_zero_blocks_give_zero_angles():
     x = make_state(3, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-    for level in y_angles(x):
+    levels = angle_schedule(x).y_levels
+    for level in levels:
         assert np.all(np.isfinite(level))
     # the empty lower half contributes only zero rotations
-    assert y_angles(x)[0] == pytest.approx([0.0, 0.0, 0.0, 0.0])
-    assert y_angles(x)[2] == pytest.approx([math.pi])
+    assert levels[0] == pytest.approx([0.0, 0.0, 0.0, 0.0])
+    assert levels[2] == pytest.approx([math.pi])
 
 
 def test_y_angles_range():
     for seed in range(5):
         x = random_state(5, 40 + seed)
-        for level in y_angles(x):
+        for level in angle_schedule(x).y_levels:
             assert np.all(level >= 0.0)
             assert np.all(level <= math.pi)
 
@@ -93,5 +105,4 @@ def test_schedule_bundles_both():
     assert schedule.n == 3
     assert [v.size for v in schedule.z_levels] == [4, 2, 1]
     assert [v.size for v in schedule.y_levels] == [4, 2, 1]
-    for a, b in zip(schedule.z_levels, z_angles(x)):
-        assert np.array_equal(a, b)
+    assert schedule.mean_phase == float(np.sum(phases(x))) / x.dim

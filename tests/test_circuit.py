@@ -21,7 +21,7 @@ from ucrsynth import (
     simplify,
     ucr_matrix,
 )
-from ucrsynth.circuit import Gate
+from ucrsynth.circuit import MAX_UCR_CONTROLS, Gate
 
 I2 = np.eye(2)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -192,9 +192,10 @@ def test_ucr_matrix_trivial_cases():
 
 
 def test_ucr_matrix_cap():
-    g = UcrGate(tuple(range(1, 4)), 4, AXIS_Y, [0.0] * 8)
+    k = MAX_UCR_CONTROLS + 1
+    g = UcrGate(tuple(range(1, k + 1)), k + 1, AXIS_Y, [0.0] * (1 << k))
     with pytest.raises(ValueError):
-        ucr_matrix(g, max_controls=2)
+        ucr_matrix(g)
 
 
 def test_lower_matches_matrix_oracle():

@@ -327,6 +327,9 @@ def test_bench_json_record(tmp_path, capsys):
     for run in runs:
         assert set(run["cli"]) == {"n", "synth_verify_s"}
         assert run["cli"]["n"] == 8 and run["cli"]["synth_verify_s"] > 0
+    # and the digest of a fixed sweep of results, whatever --n-max and --seed say
+    assert re.fullmatch("[0-9a-f]{64}", runs[0]["digest"])
+    assert runs[1]["digest"] == runs[0]["digest"]
     bad = tmp_path / "bad.json"
     bad.write_text("[1]")
     assert main(["bench", "--n-max", "1", "--json", str(bad)]) == 2

@@ -170,7 +170,7 @@ def test_circuit_unitary_is_unitary():
 
 def test_circuit_unitary_cap():
     with pytest.raises(ValueError):
-        circuit_unitary(Circuit(11), max_qubits=10)
+        circuit_unitary(Circuit(sim.MAX_UNITARY_QUBITS + 1))
 
 
 AXES = st.sampled_from([AXIS_Y, AXIS_Z]) | st.floats(0.0, 2.0 * math.pi).map(

@@ -195,6 +195,28 @@ def test_entry_points_build_no_ucr_gates(monkeypatch):
         assert prepare_from_basis(i, b).counts == half_counts(n)
 
 
+def test_entry_points_take_phases_once_per_state(monkeypatch):
+    # one sweep per input state yields its angles and its mean phase
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return phases(x)
+
+    monkeypatch.setattr("ucrsynth.angles.phases", counting)
+    monkeypatch.setattr("ucrsynth.synth.phases", counting)
+    a, b = random_state(4, 1), random_state(4, 2)
+    for synthesize, inputs in (
+        (lambda: disentangle(a), [a]),
+        (lambda: prepare(a, b), [a, b]),
+        (lambda: prepare_from_basis(0, b), [b]),
+        (lambda: prepare_from_basis(5, b), [b]),
+    ):
+        calls.clear()
+        synthesize()
+        assert sorted(map(id, calls)) == sorted(map(id, inputs))
+
+
 def test_prepare_identity_pair():
     a = random_state(4, 7)
     result = prepare(a, a)
