@@ -47,12 +47,19 @@ def sweep(omega: np.ndarray, magnitude: np.ndarray) -> AngleSchedule:
     sums, weight, child = omega, magnitude**2, magnitude
     z_levels, y_levels = [], []
     for k in range(1, omega.size.bit_length()):
-        z_levels.append((sums[1::2] - sums[0::2]) / (1 << (k - 1)))
+        z = np.subtract(sums[1::2], sums[0::2])
+        z *= 1.0 / (1 << (k - 1))
+        z_levels.append(z)
         sums = sums[0::2] + sums[1::2]
         weight = weight[0::2] + weight[1::2]
         parent = np.sqrt(weight)
         ratio = np.divide(child[1::2], parent, out=np.zeros_like(parent), where=parent > 0.0)
-        y_levels.append(2.0 * np.arcsin(np.clip(ratio, 0.0, 1.0)))
+        # a modulus over a root-sum-square is never negative, so only the
+        # upper clamp can act
+        np.minimum(ratio, 1.0, out=ratio)
+        np.arcsin(ratio, out=ratio)
+        ratio *= 2.0
+        y_levels.append(ratio)
         child = parent
     return AngleSchedule(len(z_levels), z_levels, y_levels, float(np.sum(omega)) / omega.size)
 

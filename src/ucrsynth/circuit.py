@@ -277,8 +277,9 @@ def lower_ucr(g: UcrGate, n: int | None = None, *, mirrored: bool = False) -> Ci
         if not 1 <= q <= n:
             raise ValueError(f"UCR qubit {q} outside 1..{n}")
     control = ladder_controls(g.controls, mirrored=mirrored)
+    theta = alpha_to_theta(g.angles)
     angle = np.zeros(control.size)
-    angle[control == 0] = ladder_angles(g.angles, mirrored=mirrored)
+    angle[control == 0] = theta[::-1] if mirrored else theta
     zeros = np.zeros(control.size, dtype=np.int32)
     return Circuit._from_columns(n, control, zeros + g.target, zeros, (g.axis,), angle)
 
@@ -300,16 +301,6 @@ def ladder_controls(controls: tuple[int, ...], *, mirrored: bool = False) -> np.
     bit = np.bitwise_count((codes ^ np.roll(codes, -1)) - 1)
     control[1::2] = np.array(controls)[k - 1 - bit]
     return control[::-1] if mirrored else control
-
-
-def ladder_angles(alpha: np.ndarray, *, mirrored: bool = False) -> np.ndarray:
-    """Rotation angles, in time order, of the ladder of a UCR with block angles alpha.
-
-    These are the Gray-ordered thetas of ``alpha_to_theta``, reversed for
-    the mirrored ladder; they fill the rows where the control column is 0.
-    """
-    theta = alpha_to_theta(alpha)
-    return theta[::-1] if mirrored else theta
 
 
 def ucr_matrix(g: UcrGate) -> np.ndarray:

@@ -256,6 +256,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if args.json:
             row = {"n": n, **counts, "cnot_up": limits.upper_cnot, "rot_up": limits.upper_rot}
             row["prepare_s"] = _best_of(BENCH_REPEATS, lambda: prepare(a, b))
+            last = (1 << n) - 1  # the basis vector with every qubit's bit set
+            pfb = _best_of(BENCH_REPEATS, lambda: prepare_from_basis(last, b))
+            row["prepare_from_basis_s"] = pfb
             circuit = result.circuit
             row["apply_circuit_s"] = _best_of(BENCH_REPEATS, lambda: apply_circuit(a, circuit))
             rows.append(row)
@@ -321,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--json",
         metavar="PATH",
-        help="append a run (machine, counts against the bounds, best-of-5 times of prepare "
-        "and apply_circuit per n and of CLI synth plus verify at n = 8, and a SHA-256 digest "
-        "of 360 seeded results) to the record at PATH",
+        help="append a run (machine, counts against the bounds, best-of-5 times of prepare, "
+        "prepare_from_basis and apply_circuit per n and of CLI synth plus verify at n = 8, "
+        "and a SHA-256 digest of 360 seeded results) to the record at PATH",
     )
     bench.add_argument("--label", default=None, help="name of the run in the --json record")
     return parser

@@ -17,6 +17,8 @@ the product sums.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -86,10 +88,29 @@ def _fwht(values: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape)
 
 
+@functools.cache
 def gray_permutation(k: int) -> np.ndarray:
-    """Index array g with g[i] = gray(i), a bijection on [0, 2**k)."""
+    """Index array g with g[i] = gray(i), a bijection on [0, 2**k).
+
+    Built once per k: every call for one k returns the same read-only array.
+    """
     indices = np.arange(1 << k, dtype=np.intp)
-    return indices ^ (indices >> 1)
+    codes = indices ^ (indices >> 1)
+    codes.flags.writeable = False
+    return codes
+
+
+@functools.cache
+def _gray_rank(k: int) -> np.ndarray:
+    """Inverse of gray_permutation(k), r[gray(i)] = i; cached and read-only.
+
+    Assigning ``theta[_gray_rank(k)] = spectrum`` reads the spectrum out in
+    Gray order, so a ladder's angles land with one scatter.
+    """
+    rank = np.empty(1 << k, dtype=np.intp)
+    rank[gray_permutation(k)] = np.arange(1 << k, dtype=np.intp)
+    rank.flags.writeable = False
+    return rank
 
 
 def alpha_to_theta(alpha: np.ndarray) -> np.ndarray:

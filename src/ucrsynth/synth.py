@@ -16,16 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import AngleSchedule, angle_schedule, sweep
-from .circuit import (
-    AXIS_Y,
-    AXIS_Z,
-    Axis,
-    Circuit,
-    gate_counts,
-    ladder_angles,
-    ladder_controls,
-)
+from .circuit import AXIS_Y, AXIS_Z, Axis, Circuit, gate_counts, ladder_controls
 from .errors import DimensionError
+from .gray import _fwht, _gray_rank
 from .state import StateVector, check_basis_index, check_qubit_count, phases, wrap_angle
 
 __all__ = [
@@ -169,15 +162,24 @@ def _compile(levels: list[Level], residual: float) -> SynthesisResult:
     None of this depends on the angles, so the gate columns are built once
     per UCR layout and cached; a call only computes each ladder's rotation
     angles and writes them into a fresh angle column.
+
+    A ladder's rotations sit on every other row from ``row``, in Gray order
+    (reversed when mirrored): its i-th rotation is entry gray(i) of the
+    block angles' Walsh-Hadamard spectrum, divided by 2**k (theta = M alpha),
+    so one scatter through the inverse Gray table places them all. Only a
+    ladder that opens a pair merges, and its first rotation is entry 0.
     """
     skeleton, ladders = _skeleton(tuple((t, axis) for t, axis, _ in levels))
     angle = np.zeros(len(skeleton))
     for index, ((_, _, alpha), (row, merged)) in enumerate(zip(levels, ladders)):
-        theta = ladder_angles(alpha, mirrored=index % 2 == 1)
+        spectrum = _fwht(alpha)
+        spectrum *= 1.0 / alpha.size
+        rotations = angle[row : row + 2 * alpha.size : 2]
+        if index % 2:
+            rotations = rotations[::-1]
         if merged:
-            angle[row] += theta[0]
-            row, theta = row + 2, theta[1:]
-        angle[row : row + 2 * theta.size : 2] = theta
+            spectrum[0] += rotations[0]
+        rotations[_gray_rank(alpha.size.bit_length() - 1)] = spectrum
     circuit = Circuit._from_columns(
         skeleton.n, skeleton.control, skeleton.target, skeleton.axis, skeleton.axes, angle
     )

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ucrsynth import angle_schedule, make_state, phases, random_state
@@ -22,18 +22,34 @@ def naive_z_level(omega, k):
 
 
 def naive_y_level(amps, k):
-    """2 asin(|second half| / |block|) via explicit slicing."""
+    """Per block, via explicit slicing: 2 asin(|second half| / |block|) and
+    the rotation's matrix entries sin(y/2) = |second half| / |block| and
+    cos(y/2) = |first half| / |block| (0, 0 and 1 for a zero block)."""
     size = 1 << k
-    out = []
+    angles, sines, cosines = [], [], []
     for j in range(len(amps) // size):
         block = amps[j * size : (j + 1) * size]
         whole = np.linalg.norm(block)
-        upper = np.linalg.norm(block[size // 2 :])
         if whole == 0.0:
-            out.append(0.0)
-        else:
-            out.append(2.0 * math.asin(min(1.0, upper / whole)))
-    return out
+            angles.append(0.0)
+            sines.append(0.0)
+            cosines.append(1.0)
+            continue
+        upper = np.linalg.norm(block[size // 2 :]) / whole
+        angles.append(2.0 * math.asin(min(1.0, upper)))
+        sines.append(upper)
+        cosines.append(np.linalg.norm(block[: size // 2]) / whole)
+    return np.array(angles), np.array(sines), np.array(cosines)
+
+
+def zero_first_half_state():
+    """Seeded n = 2 state with amplitudes (0, 0, a, b): its level-2 angle is
+    exactly pi, while the sliced ratio lands one ulp under 1."""
+    rng = np.random.default_rng(112)
+    n = int(rng.integers(2, 5))
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    amps[rng.random(1 << n) < rng.random()] = 0.0
+    return make_state(n, amps, normalize=True)
 
 
 @st.composite
@@ -74,11 +90,19 @@ def test_z_levels_match_naive(x):
 
 @settings(deadline=None, max_examples=60)
 @given(states())
+@example(zero_first_half_state())
 def test_y_levels_match_naive(x):
+    # The matrix entries are compared everywhere. The angle is compared only
+    # where the ratio stays clear of 1: asin's slope is unbounded there, and
+    # a ratio one ulp under 1 moves the angle by 3e-8.
     levels = angle_schedule(x).y_levels
     assert len(levels) == x.n
     for k, level in enumerate(levels, start=1):
-        assert level == pytest.approx(naive_y_level(x.amplitudes, k), abs=1e-12)
+        angles, sines, cosines = naive_y_level(x.amplitudes, k)
+        assert np.sin(level / 2) == pytest.approx(sines, abs=1e-12)
+        assert np.cos(level / 2) == pytest.approx(cosines, abs=1e-12)
+        tame = sines <= 1.0 - 1e-6
+        assert level[tame] == pytest.approx(angles[tame], abs=1e-12)
 
 
 def test_zero_blocks_give_zero_angles():

@@ -323,6 +323,7 @@ def test_bench_json_record(tmp_path, capsys):
     n4 = runs[0]["rows"][-1]
     assert (n4["n"], n4["cnot"], n4["rot"], n4["cnot_up"], n4["rot_up"]) == (4, 44, 59, 44, 59)
     assert n4["prepare_s"] > 0 and n4["apply_circuit_s"] > 0
+    assert all(row["prepare_from_basis_s"] > 0 for run in runs for row in run["rows"])
     # and the in-process synth plus verify on files, at n = 8 whatever --n-max says
     for run in runs:
         assert set(run["cli"]) == {"n", "synth_verify_s"}
