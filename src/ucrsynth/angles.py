@@ -7,8 +7,9 @@ magnitudes, each taken once, that walks the levels bottom-up:
   difference between the mean phases of the two half-blocks, taken over
   the original amplitudes (zero amplitudes contribute phase 0).
 * y-angles rotate magnitude weight onto the first half of each block:
-  ``2 * asin(norm(second half) / norm(block))``, with the block norms
-  reduced pairwise as root-sum-squares of the original magnitudes.
+  ``2 * atan2(norm(second half), norm(first half))``, the paper's angle
+  ``2 * asin(norm(second half) / norm(block))`` in a form that keeps a half
+  far below its block; norms are root-sum-squares of the original moduli.
 
 The sweep also yields the mean phase, the global phase a cascade leaves.
 
@@ -41,8 +42,8 @@ class AngleSchedule:
 def sweep(omega: np.ndarray, magnitude: np.ndarray) -> AngleSchedule:
     """Schedule of the state with per-amplitude phases omega and moduli magnitude.
 
-    A zero block norm yields y angle 0 (rotating a zero block is a no-op);
-    the asin argument is clamped against floating-point overshoot.
+    y angles are ``2 * atan2(second half norm, first half norm)``: 0 for a zero
+    block (rotating it is a no-op), exactly pi for an empty first half.
     """
     sums, weight, child = omega, magnitude**2, magnitude
     z_levels, y_levels = [], []
@@ -51,16 +52,9 @@ def sweep(omega: np.ndarray, magnitude: np.ndarray) -> AngleSchedule:
         z *= 1.0 / (1 << (k - 1))
         z_levels.append(z)
         sums = sums[0::2] + sums[1::2]
+        y_levels.append(2.0 * np.arctan2(child[1::2], child[0::2]))
         weight = weight[0::2] + weight[1::2]
-        parent = np.sqrt(weight)
-        ratio = np.divide(child[1::2], parent, out=np.zeros_like(parent), where=parent > 0.0)
-        # a modulus over a root-sum-square is never negative, so only the
-        # upper clamp can act
-        np.minimum(ratio, 1.0, out=ratio)
-        np.arcsin(ratio, out=ratio)
-        ratio *= 2.0
-        y_levels.append(ratio)
-        child = parent
+        child = np.sqrt(weight)
     return AngleSchedule(len(z_levels), z_levels, y_levels, float(np.sum(omega)) / omega.size)
 
 

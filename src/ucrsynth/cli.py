@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import simplify
+from .circuit import Circuit, simplify
 from .errors import DimensionError, ExportError, ParseError
 from .formats import dump_circuit, dump_state, export_qasm, load_circuit, load_state
 from .sim import apply_circuit
@@ -97,6 +97,15 @@ def _print_report(result: SynthesisResult) -> None:
     print(f"residual phase {result.residual_phase!r}")
 
 
+def _certify(a: StateVector, b: StateVector, circuit: Circuit) -> tuple[float, float, float]:
+    """Simulate circuit on a: fidelity to b, phase phi of the overlap, max |out - e^(i phi) b|."""
+    out = apply_circuit(a, circuit).amplitudes
+    overlap = complex(np.vdot(b.amplitudes, out))
+    phase = cmath.phase(overlap)
+    error = float(np.max(np.abs(out - cmath.exp(1j * phase) * b.amplitudes)))
+    return abs(overlap), phase, error
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     a = _load_state_file(args.input_a, args.normalize)
     b = _load_state_file(args.input_b, args.normalize)
@@ -104,8 +113,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.prune_epsilon is not None:
         result = replace(result, circuit=simplify(result.circuit, prune_atol=args.prune_epsilon))
     _print_report(result)
-    fidelity = abs(complex(np.vdot(b.amplitudes, apply_circuit(a, result.circuit).amplitudes)))
+    fidelity, _, error = _certify(a, b, result.circuit)
     print(f"fidelity {fidelity!r}")
+    print(f"max amplitude error {error!r}")
     if args.json:
         _write(args.json, dump_circuit(result.circuit, _metadata(result)))
     if args.qasm:
@@ -120,11 +130,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     circuit, metadata = load_circuit(_read(args.circuit), label=args.circuit)
     a = _load_state_file(args.input_a, args.normalize)
     b = _load_state_file(args.input_b, args.normalize)
-    out = apply_circuit(a, circuit)
-    overlap = complex(np.vdot(b.amplitudes, out.amplitudes))
-    fidelity = abs(overlap)
-    phase = cmath.phase(overlap)
-    error = float(np.max(np.abs(out.amplitudes - cmath.exp(1j * phase) * b.amplitudes)))
+    fidelity, phase, error = _certify(a, b, circuit)
     threshold = 1.0 - args.tolerance
     passed = fidelity >= threshold
     print(f"fidelity {fidelity!r}")

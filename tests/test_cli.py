@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from ucrsynth import basis_state, dump_circuit, dump_state, load_circuit, random_state
+from ucrsynth import basis_state, dump_circuit, dump_state, load_circuit, make_state, random_state
 from ucrsynth.circuit import Rot
 from ucrsynth import cli
 from ucrsynth.cli import main
@@ -159,6 +159,10 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def amplitude_error(out):
+    return float(re.search(r"^max amplitude error (\S+)$", out, re.M)[1])
+
+
 def reported_gap(out):
     """The gap on verify's reported-phase line, or None without that line."""
     match = re.search(r"^reported residual phase \S+ \(gap (\S+)\)$", out, re.M)
@@ -172,7 +176,7 @@ def test_verify_reports_amplitude_error_and_phase_gap(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(out_json), str(a), str(b)]) == 0
     out = capsys.readouterr().out
-    assert float(re.search(r"^max amplitude error (\S+)$", out, re.M)[1]) <= 1e-12
+    assert amplitude_error(out) <= 1e-12
     assert abs(reported_gap(out)) <= 1e-12
 
     # a tampered reported phase shows as a gap; the verdict is unchanged
@@ -192,6 +196,15 @@ def test_verify_reports_amplitude_error_and_phase_gap(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "max amplitude error" in out
     assert reported_gap(out) is None
+
+
+def test_synth_reports_amplitude_error_of_a_small_amplitude(tmp_path, capsys):
+    # fidelity reads 1 - 1e-20 whether or not the 1e-10 amplitude is kept
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(dump_state(basis_state(2)))
+    b.write_text(dump_state(make_state(2, [1e-10, 0, 1, 0], normalize=True)))
+    assert main(["synth", str(a), str(b)]) == 0
+    assert amplitude_error(capsys.readouterr().out) <= 1e-15
 
 
 def test_verify_tolerance_flag(tmp_path, capsys):

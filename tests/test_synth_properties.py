@@ -1,15 +1,17 @@
 """Property tests of the synthesis invariants over n = 1..7.
 
-States are Haar-random, real non-negative, computational basis states, or
-Haar-random with a random pattern of zero amplitudes. The seam oracle
-lowers every UCR of the paper's cascades on its own with ``lower_ucr``,
-joins the ladders and runs the general ``simplify`` pass over them.
+States are Haar-random, real non-negative, computational basis states,
+Haar-random with a random pattern of zero amplitudes, or graded: Haar-random
+with a few aligned blocks scaled down by up to 1e-12 and about 10% of the
+amplitudes zero. The seam oracle lowers every UCR of the paper's cascades
+on its own with ``lower_ucr``, joins the ladders and runs the general
+``simplify`` pass over them.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ucrsynth import (
@@ -37,7 +39,7 @@ from test_synth import (
     simplified_ladders,
 )
 
-KINDS = ("haar", "nonnegative", "basis", "zeros")
+KINDS = ("haar", "nonnegative", "basis", "zeros", "graded")
 
 
 @st.composite
@@ -52,8 +54,14 @@ def states(draw, n):
         amps[rng.integers(1 << n)] = 1.0
     elif kind == "zeros":
         amps[rng.random(1 << n) < draw(st.floats(0.0, 1.0))] = 0.0
-        if not amps.any():
-            amps[rng.integers(1 << n)] = 1.0
+    elif kind == "graded":
+        for _ in range(rng.integers(1, 4)):
+            size = 1 << rng.integers(n)
+            start = size * rng.integers((1 << n) // size)
+            amps[start : start + size] *= 10.0 ** -rng.integers(13)
+        amps[rng.random(1 << n) < 0.1] = 0.0
+    if not amps.any():
+        amps[rng.integers(1 << n)] = 1.0
     return kind, make_state(n, amps, normalize=True)
 
 
@@ -111,16 +119,24 @@ def test_counts_within_bounds_and_exact_for_generic_states(case):
 
 
 def assert_maps(circuit, source, target, phase):
-    """circuit takes source to e^(i phase) target: fidelity and simulated phase."""
+    """circuit takes source to e^(i phase) target: fidelity, simulated phase, every amplitude.
+
+    The amplitude check sees what fidelity cannot: an amplitude far below
+    its block's norm must come out to about 1e-16 absolute, not be lost.
+    """
     out = apply_circuit(source, circuit)
     overlap = complex(np.vdot(target.amplitudes, out.amplitudes))
     assert abs(overlap) >= 1.0 - 1e-9
     simulated = math.atan2(overlap.imag, overlap.real)
     assert abs(wrap_angle(simulated - phase)) <= 1e-9
+    error = np.max(np.abs(out.amplitudes - np.exp(1j * simulated) * target.amplitudes))
+    assert error <= 1e-14
 
 
 @settings(deadline=None)
 @given(cases())
+# prepare_from_basis(0, .) lost the 1e-10 amplitude when y angles were asin of a ratio
+@example((2, "basis", basis_state(2), "graded", make_state(2, [1e-10, 0, 1, 0], normalize=True), 0))
 def test_fidelity_and_residual_phase(case):
     _, _, a, _, b, i = case
     for result, _, source, target, formula in results(a, b, i):
