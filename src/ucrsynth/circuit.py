@@ -173,8 +173,8 @@ class Circuit:
         ``cnot`` marks the CNOT rows, since a CNOT read with control 0 is
         indistinguishable from a rotation in the columns alone.
         """
-        n, control, target = self.n, self.control, self.target
-        check_qubit_count(n)
+        self.n = n = check_qubit_count(self.n)
+        control, target = self.control, self.target
         coincide = cnot & (control == target)
         if coincide.any():
             q = int(control[np.argmax(coincide)])
@@ -272,7 +272,7 @@ def lower_ucr(g: UcrGate, n: int | None = None, *, mirrored: bool = False) -> Ci
     """
     if n is None:
         n = max((g.target, *g.controls))
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     for q in (g.target, *g.controls):
         if not 1 <= q <= n:
             raise ValueError(f"UCR qubit {q} outside 1..{n}")
@@ -350,4 +350,8 @@ def simplify(c: Circuit, *, prune_atol: float | None = None) -> Circuit:
         keys.append(key)
         angles.append(angle)
     control, target, axis = np.array(keys, dtype=np.int32).reshape(-1, 3).T
-    return Circuit._from_columns(c.n, control, target, axis, c.axes, angles)
+    out = Circuit._from_columns(c.n, control, target, axis, c.axes, angles)
+    bad = ~np.isfinite(out.angle)  # two finite angles can merge to inf
+    if bad.any():
+        raise ValueError(f"gate {out.gates[np.argmax(bad)]} has a non-finite angle")
+    return out

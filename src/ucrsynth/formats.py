@@ -3,7 +3,8 @@
 Floats are serialized with Python's shortest round-trip repr, so a parsed
 document reproduces the original doubles bit for bit. Syntax errors carry
 line:column anchors; structural errors carry the offending field path.
-Readers check whole columns; when a check fails, a record loop words the error.
+Readers check and build whole columns; a record pass only words the error of a
+malformed record. An out-of-range integer qubit is left to the Circuit columns.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -71,8 +72,7 @@ def load_state(text: str, *, label: str = "<state>", normalize: bool = False) ->
         if set(map(type, values)) <= {int, float}:
             with contextlib.suppress(OverflowError):
                 amps = np.array(values, dtype=np.float64).view(np.complex128)
-    if amps is None:
-        amps = np.empty(len(raw), dtype=np.complex128)
+    if amps is None:  # some entry is malformed: word the first
         for i, entry in enumerate(raw):
             ok = (
                 isinstance(entry, list)
@@ -84,7 +84,7 @@ def load_state(text: str, *, label: str = "<state>", normalize: bool = False) ->
                     f"{label}: amplitudes[{i}]: expected a [re, im] number pair, got {entry!r}"
                 )
             try:
-                amps[i] = complex(entry[0], entry[1])
+                complex(*entry)
             except OverflowError:
                 raise ParseError(f"{label}: amplitudes[{i}]: integer beyond the float range") from None
     if "normalize" in data:
@@ -137,61 +137,49 @@ def dump_circuit(c: Circuit, metadata: dict | None = None) -> str:
 
 
 def _gate_columns(records: list) -> tuple | None:
-    """What ``_gate_records`` returns, read field by field; None when a check fails."""
+    """The gate columns, qubits as the ints read; None iff some record is malformed."""
     try:
         kinds = [r["type"] for r in records]
         cnot = np.array([k == "cnot" for k in kinds], dtype=bool)
         rots = [r for r, k in zip(records, kinds) if k == "rot"]
-        control = [r["control"] for r, k in zip(records, kinds) if k == "cnot"]
+        control = [r["control"] if k == "cnot" else 0 for r, k in zip(records, kinds)]
         target = [r["target"] for r in records]
         angle, spelling = [r["angle"] for r in rots], [r["axis"] for r in rots]
         types = set(map(type, control + target)) | set(map(type, angle)) - {float}
-        if len(control) + len(rots) < len(records) or not types <= {int}:
+        if cnot.sum() + len(rots) < len(records) or not types <= {int}:
             return None
         # one _axis_from_json per distinct spelling; repr tells 1 from 1.0 and True
         keys, axes, index = list(map(repr, spelling)), {}, {}
         for key, value in dict(zip(keys, spelling)).items():
             index[key] = axes.setdefault(_axis_from_json(value, "", ""), len(axes))
-        (controls, axis), angles = np.zeros((2, len(records)), np.int32), np.zeros(len(records))
-        controls[cnot], axis[~cnot], angles[~cnot] = control, [index[k] for k in keys], angle
-        target = np.array(target, dtype=np.int32)
+        axis, angles = np.zeros(len(records), np.int32), np.zeros(len(records))
+        axis[~cnot], angles[~cnot] = [index[k] for k in keys], angle
     except (KeyError, TypeError, OverflowError, ParseError):
         return None
-    if (controls[cnot] == target[cnot]).any() or not np.isfinite(angles).all():
+    # CNOT rows only: a rotation on qubit 0 is a range error, not a record error
+    coincide = any(c == t for c, t, k in zip(control, target, kinds) if k == "cnot")
+    if coincide or not np.isfinite(angles).all():
         return None
-    return cnot, controls, target, axis, tuple(axes), angles
+    return cnot, control, target, axis, tuple(axes), angles
 
 
-def _gate_records(records: list, label: str) -> tuple:
-    """The gate columns read record by record, raising the first error."""
-    cnot, control, target, axis, angle = [], [], [], [], []
-    axes: dict[Axis, int] = {}
+def _word_gate_error(records: list, label: str) -> NoReturn:
+    """Raise the error of the first malformed record: one exists if _gate_columns is None."""
     for i, rec in enumerate(records):
         path = f"gates[{i}]"
         kind = _get(rec, "type", str, label, f"{path}.type")
         if kind == "cnot":
             c = _get(rec, "control", int, label, f"{path}.control")
-            t = _get(rec, "target", int, label, f"{path}.target")
-            if c == t:
+            if c == _get(rec, "target", int, label, f"{path}.target"):
                 raise ParseError(f"{label}: {path}: cnot control and target coincide on qubit {c}")
-            cnot.append(True)
-            control.append(c)
-            axis.append(0)
-            angle.append(0.0)
         elif kind == "rot":
-            a = _axis_from_json(rec.get("axis"), label, f"{path}.axis")
-            t = _get(rec, "target", int, label, f"{path}.target")
+            _axis_from_json(rec.get("axis"), label, f"{path}.axis")
+            _get(rec, "target", int, label, f"{path}.target")
             value = _get(rec, "angle", float, label, f"{path}.angle")
             if not math.isfinite(value):
                 raise ParseError(f"{label}: {path}.angle: expected a finite number, got {value!r}")
-            cnot.append(False)
-            control.append(0)
-            axis.append(axes.setdefault(a, len(axes)))
-            angle.append(value)
         else:
             raise ParseError(f"{label}: {path}.type: unknown gate type {kind!r}")
-        target.append(t)
-    return cnot, control, target, axis, tuple(axes), angle
 
 
 def load_circuit(text: str, *, label: str = "<circuit>") -> tuple[Circuit, dict]:
@@ -199,7 +187,7 @@ def load_circuit(text: str, *, label: str = "<circuit>") -> tuple[Circuit, dict]
     data = _parse_json(text, label)
     n = _get(data, "n", int, label)
     records = _get(data, "gates", list, label)
-    cnot, *columns = _gate_columns(records) or _gate_records(records, label)
+    cnot, *columns = _gate_columns(records) or _word_gate_error(records, label)
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError(f"{label}: metadata: expected an object")

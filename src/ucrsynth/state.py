@@ -44,20 +44,24 @@ class StateVector:
         return f"StateVector(n={self.n}, amplitudes={self.amplitudes!r})"
 
 
-def check_qubit_count(n) -> None:
-    """Raise ValueError unless n is a Python or numpy integer >= 1."""
-    if not isinstance(n, Integral):
+def check_qubit_count(n) -> int:
+    """n as a Python int; ValueError unless it is a Python or numpy integer
+    (not a bool) >= 1."""
+    if not isinstance(n, Integral) or isinstance(n, bool):
         raise ValueError(f"qubit count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
+    return int(n)
 
 
-def check_basis_index(index, n: int) -> None:
-    """Raise ValueError unless index is a Python or numpy integer in [0, 2**n)."""
-    if not isinstance(index, Integral):
+def check_basis_index(index, n: int) -> int:
+    """index as a Python int; ValueError unless it is a Python or numpy
+    integer (not a bool) in [0, 2**n)."""
+    if not isinstance(index, Integral) or isinstance(index, bool):
         raise ValueError(f"basis index must be an integer, got {index!r}")
     if not 0 <= index < 1 << n:
         raise ValueError(f"basis index {index} out of range for n={n}")
+    return int(index)
 
 
 def make_state(n: int, amplitudes, *, normalize: bool = False) -> StateVector:
@@ -67,7 +71,7 @@ def make_state(n: int, amplitudes, *, normalize: bool = False) -> StateVector:
     is set, in which case the vector is rescaled. A zero vector is rejected
     either way.
     """
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
     # size == 2**n, without computing 2**n for a huge n read from a file
     if amps.size.bit_length() != n + 1 or amps.size & (amps.size - 1):
@@ -92,8 +96,8 @@ def make_state(n: int, amplitudes, *, normalize: bool = False) -> StateVector:
 
 def basis_state(n: int, index: int = 0) -> StateVector:
     """The computational basis vector with a 1 at the given amplitude index."""
-    check_qubit_count(n)
-    check_basis_index(index, n)
+    n = check_qubit_count(n)
+    index = check_basis_index(index, n)
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(n, amps)
@@ -121,7 +125,7 @@ def random_state(n: int, seed: int) -> StateVector:
     Deterministic for a given seed; all amplitudes are nonzero with
     probability 1, which keeps every rotation angle generic.
     """
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     amps /= np.linalg.norm(amps)

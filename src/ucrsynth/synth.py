@@ -48,7 +48,7 @@ class BoundReport:
 
 
 def bounds(n: int) -> BoundReport:
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     return BoundReport(
         n=n,
         upper_cnot=(1 << (n + 2)) - 4 * n - 4,
@@ -220,7 +220,7 @@ def prepare_from_basis(i: int, b: StateVector) -> SynthesisResult:
     target qubit negates the level (X R X = R(-angle) for any y-z axis).
     """
     n = b.n
-    check_basis_index(i, n)
+    i = check_basis_index(i, n)
     omega, relabel = phases(b), np.arange(b.dim) ^ i
     levels = _cascade(sweep(omega[relabel], np.abs(b.amplitudes)[relabel]))
     for index, (j, axis, alpha) in enumerate(levels):

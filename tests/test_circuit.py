@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -291,6 +292,15 @@ def test_simplify_has_one_prune_keyword():
         simplify(c, prune=True)
     # a NaN threshold compares false, so it prunes nothing
     assert simplify(c, prune_atol=math.nan) == simplify(c)
+
+
+def test_simplify_rejects_a_merge_beyond_the_float_range():
+    # used to return angle inf, which export_qasm wrote and apply_circuit turned into NaN
+    c = Circuit(2, [Cnot(1, 2), Rot(AXIS_Y, 1, 1e308), Rot(AXIS_Y, 1, 1e308)])
+    message = re.escape("gate Rot(axis=Axis(ay=1.0, az=0.0), target=1, angle=inf) has a non-finite")
+    with pytest.raises(ValueError, match=message):
+        simplify(c)
+    assert simplify(Circuit(1, [Rot(AXIS_Y, 1, 1e308), Rot(AXIS_Y, 1, -1e308)])).angle[0] == 0.0
 
 
 def test_simplify_prune_cascades():

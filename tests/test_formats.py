@@ -480,7 +480,7 @@ def test_column_reader_equals_record_reader_on_valid_documents(doc):
     text = json.dumps(doc)
     want, want_metadata = load_circuit_records(text)
     # a valid document never reaches the per-record loop
-    with mock.patch.object(formats, "_gate_records", side_effect=AssertionError("loop ran")):
+    with mock.patch.object(formats, "_word_gate_error", side_effect=AssertionError("loop ran")):
         got, metadata = load_circuit(text)
     assert got == want
     assert gate_bits(got) == gate_bits(want)
@@ -501,6 +501,17 @@ def test_column_reader_equals_record_reader_on_valid_documents(doc):
 def test_column_reader_words_errors_like_record_reader(doc):
     text = json.dumps(doc)
     assert read_outcome(load_circuit, text) == read_outcome(load_circuit_records, text)
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_circuit_documents())
+@example({"n": 1, "gates": [{"type": "rot", "axis": "y", "target": 0, "angle": 1}]})
+@example({"n": 2, "gates": [{"type": "cnot", "control": 2**40, "target": 1}]})
+def test_column_reader_refuses_only_what_the_wording_pass_words(doc):
+    # load_circuit relies on this: the wording pass returns only by raising
+    if formats._gate_columns(doc["gates"]) is None:
+        with pytest.raises(ParseError):
+            formats._word_gate_error(doc["gates"], "c.json")
 
 
 @settings(deadline=None)

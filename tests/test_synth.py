@@ -35,6 +35,26 @@ from ucrsynth import (
 from ucrsynth.synth import SKELETON_CACHE_SIZE, _skeleton
 
 
+@pytest.mark.parametrize("kind", [np.int8, np.uint8, np.int64, np.uint64])
+def test_numpy_integers_are_taken_at_their_value(kind):
+    # each used to reach fixed-width arithmetic: a zero state, a negative
+    # bound, a spurious range error, numpy's TypeError
+    assert np.array_equal(random_state(kind(9), 1).amplitudes, random_state(9, 1).amplitudes)
+    assert bounds(kind(7)) == bounds(7)
+    x = basis_state(kind(7), kind(3))
+    assert type(x.n) is int and np.array_equal(x.amplitudes, basis_state(7, 3).amplitudes)
+    assert type(make_state(kind(2), [0, 1, 0, 0]).n) is type(Circuit(kind(2)).n) is int
+    b = random_state(3, 4)
+    got, want = prepare_from_basis(kind(5), b), prepare_from_basis(5, b)
+    assert got.circuit == want.circuit and got.residual_phase == want.residual_phase
+    # bool is not a count or an index: basis_state(3, True) used to fill every amplitude
+    for build in (lambda: basis_state(3, True), lambda: basis_state(True), lambda: bounds(True),
+                  lambda: random_state(True, 1), lambda: make_state(True, [0, 1]),
+                  lambda: Circuit(True), lambda: prepare_from_basis(True, b)):
+        with pytest.raises(ValueError, match="must be an integer, got True"):
+            build()
+
+
 def full_counts(n):
     return {"cnot": 2 ** (n + 2) - 4 * n - 4, "rot": 2 ** (n + 2) - 5}
 
