@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .gray import alpha_to_theta, gray_permutation
-from .state import check_qubit_count
+from .state import _instances, check_qubit_count
 
 AXIS_ATOL = 1e-12
 
@@ -94,7 +94,7 @@ class UcrGate:
 
     def __post_init__(self):
         object.__setattr__(self, "angles", np.asarray(self.angles, dtype=np.float64))
-        if not all(isinstance(q, Integral) for q in (self.target, *self.controls)):
+        if not _instances((self.target, *self.controls), Integral):
             raise ValueError(f"UCR qubits must be integers, got {self.controls} -> {self.target}")
         if self.target in self.controls:
             raise ValueError(f"target qubit {self.target} also listed as control")
@@ -137,17 +137,27 @@ class Circuit:
     def __init__(self, n: int, gates: Iterable[Gate] = ()):
         gates = tuple(gates)
         cnot = [isinstance(g, Cnot) for g in gates]
-        control = [g.control if c else 0 for g, c in zip(gates, cnot)]
-        target = [g.target for g in gates]
-        if not all(issubclass(kind, Integral) for kind in set(map(type, control + target))):
-            for g, q, t in zip(gates, control, target):
-                if not (isinstance(q, Integral) and isinstance(t, Integral)):
-                    raise ValueError(f"gate {g} has a non-integer qubit index")
         index: dict[Axis, int] = {}
-        axis = [0 if c else index.setdefault(g.axis, len(index)) for g, c in zip(gates, cnot)]
-        angle = [0.0 if c else g.angle for g, c in zip(gates, cnot)]
-        self._fill(n, control, target, axis, tuple(index), angle)
-        self.__post_init__(np.array(cnot, dtype=bool))
+        try:
+            control = [g.control if c else 0 for g, c in zip(gates, cnot)]
+            target = [g.target for g in gates]
+            axis = [0 if c else index.setdefault(g.axis, len(index)) for g, c in zip(gates, cnot)]
+            angle = [0.0 if c else g.angle for g, c in zip(gates, cnot)]
+        except (AttributeError, TypeError):  # not a gate, or an unhashable axis
+            ok = False
+        else:
+            ok = _instances(gates, (Cnot, Rot)) and _instances(index, Axis)
+            ok = ok and _instances(control + target, Integral) and _instances(angle, Real)
+        for g in () if ok else gates:  # word the first gate at fault
+            rot = isinstance(g, Rot)
+            if not isinstance(g, (Cnot, Rot)) or rot and not isinstance(g.axis, Axis):
+                raise ValueError(f"gate {g!r} is not a Cnot or a Rot about an Axis")
+            if not _instances((g.target, 1 if rot else g.control), Integral):
+                raise ValueError(f"gate {g} has a non-integer qubit index")
+            if rot and not _instances([g.angle], Real):
+                raise ValueError(f"gate {g} has a non-real angle")
+        c = self._check(n, cnot, control, target, axis, tuple(index), angle)
+        self._fill(c.n, c.control, c.target, c.axis, c.axes, c.angle)
 
     @classmethod
     def _from_columns(cls, n, control, target, axis, axes, angle) -> Circuit:
@@ -166,29 +176,32 @@ class Circuit:
         self.angle = _column(angle, np.float64, "angle beyond the float range")
         self._skeleton = self._plan = None
 
-    def __post_init__(self, cnot: np.ndarray) -> None:
-        """Boundary check: n an integer >= 1, CNOT control != target, qubits
-        in 1..n, finite angles.
+    @classmethod
+    def _check(cls, n, cnot, control, target, axis, axes, angle) -> Circuit:
+        """Constructor for columns from outside the package, checked in this
+        order: n an integer >= 1; qubits within int32 and angles within
+        float64; CNOT control != target, qubits in 1..n, finite angles.
 
         ``cnot`` marks the CNOT rows, since a CNOT read with control 0 is
         indistinguishable from a rotation in the columns alone.
         """
-        self.n = n = check_qubit_count(self.n)
-        control, target = self.control, self.target
+        out = cls._from_columns(check_qubit_count(n), control, target, axis, axes, angle)
+        n, cnot, control, target = out.n, np.asarray(cnot, dtype=bool), out.control, out.target
         coincide = cnot & (control == target)
         if coincide.any():
             q = int(control[np.argmax(coincide)])
             raise ValueError(f"cnot control and target coincide on qubit {q}")
         bad_control = cnot & ((control < 1) | (control > n))
-        bad = bad_control | (target < 1) | (target > n) | ~np.isfinite(self.angle)
+        bad = bad_control | (target < 1) | (target > n) | ~np.isfinite(out.angle)
         if bad.any():
             r = int(np.argmax(bad))
-            c, t, angle = int(control[r]), int(target[r]), float(self.angle[r])
-            g = Cnot(c, t) if cnot[r] else Rot(self.axes[self.axis[r]], t, angle)
+            c, t, angle = int(control[r]), int(target[r]), float(out.angle[r])
+            g = Cnot(c, t) if cnot[r] else Rot(out.axes[out.axis[r]], t, angle)
             if not (1 <= t <= n) or bad_control[r]:
                 q = c if bad_control[r] else t
                 raise ValueError(f"gate {g} references qubit {q} outside 1..{n}")
             raise ValueError(f"gate {g} has a non-finite angle")
+        return out
 
     @property
     def gates(self) -> tuple[Gate, ...]:
@@ -336,6 +349,8 @@ def simplify(c: Circuit, *, prune_atol: float | None = None) -> Circuit:
     nothing, so generic counts keep their closed-form values. No two adjacent
     stack rows share a key, so one pass reaches the fixpoint.
     """
+    if prune_atol is not None and not (_instances([prune_atol], Real) and 0 <= prune_atol < math.inf):
+        raise ValueError(f"prune_atol must be a finite number >= 0, got {prune_atol!r}")
     keys: list[tuple[int, int, int]] = []
     angles: list[float] = []
     rows = zip(c.control.tolist(), c.target.tolist(), c.axis.tolist())
@@ -352,6 +367,8 @@ def simplify(c: Circuit, *, prune_atol: float | None = None) -> Circuit:
     control, target, axis = np.array(keys, dtype=np.int32).reshape(-1, 3).T
     out = Circuit._from_columns(c.n, control, target, axis, c.axes, angles)
     bad = ~np.isfinite(out.angle)  # two finite angles can merge to inf
-    if bad.any():
-        raise ValueError(f"gate {out.gates[np.argmax(bad)]} has a non-finite angle")
+    if bad.any():  # build that row's gate alone; out.gates would build every row
+        r = int(np.argmax(bad))
+        g = Rot(out.axes[out.axis[r]], int(out.target[r]), float(out.angle[r]))
+        raise ValueError(f"gate {g} has a non-finite angle")
     return out

@@ -4,7 +4,8 @@ Floats are serialized with Python's shortest round-trip repr, so a parsed
 document reproduces the original doubles bit for bit. Syntax errors carry
 line:column anchors; structural errors carry the offending field path.
 Readers check and build whole columns; a record pass only words the error of a
-malformed record. An out-of-range integer qubit is left to the Circuit columns.
+malformed record. A circuit file is checked in order: its records' fields, then
+n >= 1, then qubits within int32 and in 1..n, the last two by Circuit._check.
 """
 
 from __future__ import annotations
@@ -187,13 +188,12 @@ def load_circuit(text: str, *, label: str = "<circuit>") -> tuple[Circuit, dict]
     data = _parse_json(text, label)
     n = _get(data, "n", int, label)
     records = _get(data, "gates", list, label)
-    cnot, *columns = _gate_columns(records) or _word_gate_error(records, label)
+    columns = _gate_columns(records) or _word_gate_error(records, label)
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError(f"{label}: metadata: expected an object")
     try:
-        circuit = Circuit._from_columns(n, *columns)
-        circuit.__post_init__(np.array(cnot, dtype=bool))
+        circuit = Circuit._check(n, *columns)
     except ValueError as e:
         raise ParseError(f"{label}: {e}") from e
     return circuit, metadata

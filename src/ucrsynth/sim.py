@@ -5,7 +5,7 @@ on private copies. Qubit q of an n-qubit register lives at bit position
 n - q of the amplitude index, which is axis q - 1 of the amplitudes
 reshaped to (2,) * n.
 
-``apply_circuit`` and ``circuit_unitary`` are run-fused. A maximal run of
+``apply_circuit`` and ``circuit_unitary`` are run-fused. A run of
 consecutive gates into one target qubit t (CNOTs into t, rotations on t
 about one axis) acts on each control pattern p as X**s(p) R_axis(phi(p)),
 because X R_a(theta) X = R_a(-theta) for every y-z axis. phi is the
@@ -35,6 +35,7 @@ oracle the fused pass is tested against.
 from __future__ import annotations
 
 import itertools
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +43,7 @@ import numpy as np
 from .circuit import Circuit, Cnot, Gate, UcrGate, rot_matrix
 from .errors import DimensionError
 from .gray import _fwht
-from .state import StateVector
+from .state import StateVector, _instances
 
 __all__ = ["apply_gate", "apply_circuit", "apply_ucr", "circuit_unitary"]
 
@@ -52,6 +53,8 @@ MAX_UNITARY_QUBITS = 10
 
 def _check_qubits(n: int, *qubits: int) -> None:
     for q in qubits:
+        if not _instances([q], Integral):
+            raise ValueError(f"qubit index must be an integer, got {q!r}")
         if not 1 <= q <= n:
             raise DimensionError(f"qubit {q} out of range for an {n}-qubit register")
 
@@ -92,16 +95,17 @@ def _run_plan(c: Circuit, n_bits: int) -> _Plan:
     n_bits - q) from its control, target and axis columns alone.
 
     A run starts where the target changes, and at a rotation about another
-    axis than the previous rotation on the same target. A run with k
-    controls owns 2**k consecutive slots of one phase table, in which the
-    runs are grouped by k so that each group transforms as one stack.
+    axis than the rotation before it, even one on another target: that
+    exactly splits the CNOTs ahead of it into a run of their own. A run
+    with k controls owns 2**k consecutive slots of one phase table, in
+    which the runs are grouped by k so that each group transforms as one
+    stack.
     """
     new_run = np.ones(len(c), dtype=bool)
     new_run[1:] = c.target[1:] != c.target[:-1]
     rots = np.flatnonzero(c.control == 0)
-    segment = np.searchsorted(np.flatnonzero(new_run), rots, side="right")  # of each rotation
     prev, cur = rots[:-1], rots[1:]
-    new_run[cur[(c.axis[cur] != c.axis[prev]) & (segment[1:] == segment[:-1])]] = True
+    new_run[cur[c.axis[cur] != c.axis[prev]]] = True
     starts = np.flatnonzero(new_run)
     # a CNOT toggles its control's index bit; a rotation (control 0) toggles
     # bit n_bits, which no qubit reads
@@ -213,6 +217,8 @@ def apply_gate(x: StateVector, g: Gate) -> StateVector:
         _cnot(amps, x.n - g.control, x.n - g.target)
     else:
         _check_qubits(x.n, g.target)
+        if not np.isfinite(g.angle):
+            raise ValueError(f"gate {g} has a non-finite angle")
         m = rot_matrix(g.axis, g.angle)
         _rot(amps, x.n - g.target, m[0, 0], m[0, 1], m[1, 0], m[1, 1])
     return StateVector(x.n, amps)

@@ -44,10 +44,15 @@ class StateVector:
         return f"StateVector(n={self.n}, amplitudes={self.amplitudes!r})"
 
 
+def _instances(values, kind) -> bool:
+    """Whether every value is an instance of kind; a bool is no number."""
+    return all(issubclass(k, kind) and k is not bool for k in set(map(type, values)))
+
+
 def check_qubit_count(n) -> int:
     """n as a Python int; ValueError unless it is a Python or numpy integer
     (not a bool) >= 1."""
-    if not isinstance(n, Integral) or isinstance(n, bool):
+    if not _instances([n], Integral):
         raise ValueError(f"qubit count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
@@ -57,7 +62,7 @@ def check_qubit_count(n) -> int:
 def check_basis_index(index, n: int) -> int:
     """index as a Python int; ValueError unless it is a Python or numpy
     integer (not a bool) in [0, 2**n)."""
-    if not isinstance(index, Integral) or isinstance(index, bool):
+    if not _instances([index], Integral):
         raise ValueError(f"basis index must be an integer, got {index!r}")
     if not 0 <= index < 1 << n:
         raise ValueError(f"basis index {index} out of range for n={n}")

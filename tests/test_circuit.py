@@ -100,6 +100,11 @@ def test_circuit_needs_a_qubit():
     for n in (0, -1):
         with pytest.raises(ValueError, match=f"qubit count must be >= 1, got {n}"):
             Circuit(n, [])
+    # n is checked before the qubits are narrowed to int32: this used to
+    # read "qubit index outside 1..-1"
+    with pytest.raises(ValueError) as info:
+        Circuit(-1, [Rot(AXIS_Y, 2**63, 0.1)])
+    assert str(info.value) == "qubit count must be >= 1, got -1"
 
 
 def test_public_constructors_reject_non_integer_qubits():
@@ -108,12 +113,18 @@ def test_public_constructors_reject_non_integer_qubits():
         Circuit(2, [Cnot(1.5, 2)])
     with pytest.raises(ValueError, match="target=1.7, angle=0.1\\) has a non-integer"):
         Circuit(2, [Rot(AXIS_Y, 1, 0.2), Rot(AXIS_Y, 1.7, 0.1)])
+    # bool is no qubit index: Cnot(True, 2) used to build Cnot(1, 2)
+    with pytest.raises(ValueError, match=r"gate Cnot\(control=True, target=2\) has a non-integer"):
+        Circuit(2, [Cnot(True, 2)])
+    with pytest.raises(ValueError, match="target=False, angle=0.1\\) has a non-integer"):
+        Circuit(2, [Rot(AXIS_Y, False, 0.1)])
     for n in (2.5, 2.0, np.float64(2.0)):
         with pytest.raises(ValueError, match="qubit count must be an integer, got"):
             Circuit(n, [])
         with pytest.raises(ValueError, match="qubit count must be an integer, got"):
             lower_ucr(UcrGate((1,), 2, AXIS_Y, [0.1, 0.2]), n)
-    for controls, target in (((1.0,), 2), ((1,), 2.0), ((1, np.float64(2)), 3)):
+    for controls, target in (((1.0,), 2), ((1,), 2.0), ((1, np.float64(2)), 3), ((True,), 2),
+                             ((1,), True)):
         with pytest.raises(ValueError, match="UCR qubits must be integers"):
             UcrGate(controls, target, AXIS_Y, [0.1] * (1 << len(controls)))
     # Python and numpy integers keep working
@@ -290,8 +301,10 @@ def test_simplify_has_one_prune_keyword():
     # the flag that used to switch pruning on is gone, not reinterpreted
     with pytest.raises(TypeError):
         simplify(c, prune=True)
-    # a NaN threshold compares false, so it prunes nothing
-    assert simplify(c, prune_atol=math.nan) == simplify(c)
+    # a NaN or negative threshold used to prune nothing, a str to fail mid-loop
+    for atol in (math.nan, -1.0, "1", math.inf):
+        with pytest.raises(ValueError, match="prune_atol must be a finite number >= 0, got"):
+            simplify(c, prune_atol=atol)
 
 
 def test_simplify_rejects_a_merge_beyond_the_float_range():
@@ -440,6 +453,25 @@ def test_public_constructor_checks_columns():
         Circuit(2, (g,))
     with pytest.raises(ValueError, match="outside"):
         lower_ucr(UcrGate((1,), 3, AXIS_Y, [0.1, 0.2]), 2)
+
+
+def test_public_constructor_checks_gate_fields():
+    # each used to build, then fail in apply_circuit or dump_circuit, or to
+    # take the angle as a float
+    cases = [
+        ([Rot("y", 1, 0.1)], "gate Rot(axis='y', target=1, angle=0.1) is not a Cnot or a Rot"),
+        ([Rot([0, 1, 0], 1, 0.1)], "angle=0.1) is not a Cnot or a Rot about an Axis"),
+        ([Rot(AXIS_Y, 1, "0.1")], "target=1, angle='0.1') has a non-real angle"),
+        ([Rot(AXIS_Y, 1, True)], "target=1, angle=True) has a non-real angle"),
+        ([Rot(AXIS_Y, 1, 0.1 + 0j)], "target=1, angle=(0.1+0j)) has a non-real angle"),
+        ([Cnot(1, 2), 42], "gate 42 is not a Cnot or a Rot about an Axis"),
+    ]
+    for gates, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Circuit(2, gates)
+    # numpy reals keep working
+    c = Circuit(1, [Rot(AXIS_Y, 1, np.float32(0.5)), Rot(AXIS_Z, 1, np.int64(2))])
+    assert c.angle.tolist() == [0.5, 2.0]
 
 
 def test_public_constructor_rejects_integers_beyond_the_columns():

@@ -148,6 +148,12 @@ def test_circuit_file_needs_a_qubit():
     for n in (0, -3):
         with pytest.raises(ParseError, match=f"qubit count must be >= 1, got {n}"):
             load_circuit(f'{{"n": {n}, "gates": []}}')
+    # n is checked before the qubits are narrowed to int32: this used to
+    # read "qubit index outside 1..-1"
+    text = '{"n": -1, "gates": [{"type": "rot", "axis": "y", "target": %d, "angle": 0.5}]}'
+    with pytest.raises(ParseError) as info:
+        load_circuit(text % 2**63, label="c.json")
+    assert str(info.value) == "c.json: qubit count must be >= 1, got -1"
 
 
 def test_circuit_file_non_integer_qubits_keep_their_messages():
@@ -162,6 +168,8 @@ def test_circuit_file_non_integer_qubits_keep_their_messages():
          "<circuit>: gates[0].control: expected int, got float"),
         ('{"n": 2, "gates": [%s, %s]}' % (cnot % ("1", "2"), rot % "1.7"),
          "<circuit>: gates[1].target: expected int, got float"),
+        ('{"n": 2, "gates": [%s]}' % (cnot % ("true", "2")),
+         "<circuit>: gates[0].control: expected int, got bool"),
     ]
     for text, message in cases:
         with pytest.raises(ParseError) as info:
@@ -363,8 +371,7 @@ def load_circuit_records(text: str, *, label: str = "<circuit>") -> tuple[Circui
     if not isinstance(metadata, dict):
         raise ParseError(f"{label}: metadata: expected an object")
     try:
-        circuit = Circuit._from_columns(n, control, target, axis, tuple(axes), angle)
-        circuit.__post_init__(np.array(cnot, dtype=bool))
+        circuit = Circuit._check(n, cnot, control, target, axis, tuple(axes), angle)
     except ValueError as e:
         raise ParseError(f"{label}: {e}") from e
     return circuit, metadata

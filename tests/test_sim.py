@@ -73,6 +73,22 @@ def test_gate_index_out_of_range():
         apply_gate(basis_state(2), Cnot(1, 3))
 
 
+def test_gate_qubits_and_angles_are_checked():
+    # a float qubit used to fail inside numpy, a bool one to act on qubit 1,
+    # a NaN angle to give NaN amplitudes
+    x = basis_state(2)
+    for g in (Rot(AXIS_Y, 1.5, 0.1), Rot(AXIS_Y, True, 0.1), Cnot(np.float64(1), 2)):
+        with pytest.raises(ValueError, match="qubit index must be an integer, got"):
+            apply_gate(x, g)
+    with pytest.raises(ValueError, match=r"target=1, angle=nan\) has a non-finite angle"):
+        apply_gate(x, Rot(AXIS_Y, 1, math.nan))
+    for field, value in (("target", True), ("controls", (1.0,))):
+        g = UcrGate((1,), 2, AXIS_Y, [0.1, 0.2])
+        object.__setattr__(g, field, value)  # forced past UcrGate's own check
+        with pytest.raises(ValueError, match="qubit index must be an integer, got"):
+            apply_ucr(x, g)
+
+
 def test_apply_circuit_value_semantics():
     x = random_state(3, 1)
     before = x.amplitudes.copy()
@@ -201,6 +217,10 @@ def circuits(draw, max_n=7, max_gates=80):
 @given(circuits(), st.integers(0, 2**32 - 1))
 @example(Circuit(3), 0)
 @example(Circuit(3, (Cnot(1, 3), Cnot(1, 3), Cnot(2, 3), Cnot(3, 1))), 1)
+# target 3's stretch opens with CNOTs after a z rotation on qubit 1, so its
+# y rotation starts a run of its own behind them
+@example(Circuit(3, (Rot(AXIS_Z, 1, 0.4), Cnot(1, 3), Cnot(2, 3), Rot(AXIS_Y, 3, 0.7),
+                     Cnot(1, 3), Rot(AXIS_Y, 3, -0.2), Cnot(2, 3))), 2)
 def test_apply_circuit_matches_per_gate_fold(c, seed):
     x = random_state(c.n, seed)
     fused = apply_circuit(x, c)
@@ -290,8 +310,9 @@ def ladders(draw, max_n=7, max_ucrs=4):
 def widest_flip(c):
     """Most controls in the closing CNOT mask of any run of c.
 
-    A run ends where the target changes or a rotation changes axis, as in
-    apply_circuit; this is the run rule written out gate by gate.
+    A run ends where the target changes or a rotation changes axis on one
+    target. That is apply_circuit's rule, except that apply_circuit may
+    also split off the CNOTs that open a target's stretch.
     """
     widest, mask, target, axis = 0, 0, None, None
     for g in c.gates:
