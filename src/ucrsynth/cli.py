@@ -28,7 +28,7 @@ import numpy as np
 from .circuit import Circuit, simplify
 from .errors import DimensionError, ExportError, ParseError
 from .formats import dump_circuit, dump_state, export_qasm, load_circuit, load_state
-from .sim import apply_circuit
+from .sim import _plan, apply_circuit
 from .state import StateVector, make_state, random_state, wrap_angle
 from .synth import SynthesisResult, disentangle, prepare, prepare_from_basis
 
@@ -267,6 +267,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             row["prepare_from_basis_s"] = pfb
             circuit = result.circuit
             row["apply_circuit_s"] = _best_of(BENCH_REPEATS, lambda: apply_circuit(a, circuit))
+            runs = _plan(circuit, n).runs
+            row["sim_runs"] = len(runs)
+            row["sim_swaps"] = sum(len(run.swaps) for run in runs)
             rows.append(row)
     if args.json:
         run = {

@@ -14,16 +14,31 @@ CNOT-control mask in force at each rotation, and s(p) is the parity of p
 against the mask at the end of the run: the UCR ladder identity read
 backwards. The masks hold each control at its bit of the amplitude
 index. When the controls are consecutive qubits, as in every synthesized
-ladder, a rotation's bucket is then one shift of its mask and the phase
-table reshapes straight onto the control axes; other control sets gather
-the bits one by one. X**s(p) is one CNOT swap per control in the closing
-mask.
+ladder, a rotation's bucket is then one shift of its mask; other control
+sets gather the bits one by one.
+
+X**s(p) is folded into the next run when that run has the same target and
+its controls cover the closing mask: the next run buckets its rotations
+against the mask the amplitudes have actually been swapped by. XOR-shifting
+a Walsh-Hadamard transform's input flips the signs of its output, which
+is X R_a(theta) X = R_a(-theta) again, so the fold costs nothing per call.
+Each z/y UCR pair of a synthesized cascade shares its target and controls
+and its mask cancels over the pair, so no run of a synthesized circuit
+closes with swaps. A mask that is left is one CNOT swap per control.
+
+A run with rotations whose target has more index bits above it than below
+runs on a bit-reversed copy of the amplitudes, qubit q on axis n - q,
+where its controls are the low, contiguous bits and numpy's inner loops
+are long. Its phase table lists the controls in reversed order, so that
+it too reshapes straight onto the control axes. A layout switch is one
+transposed copy into one spare buffer; a ``prepare`` circuit switches
+four times.
 
 Only the angles change between results of one gate layout, so a pass has
 two steps. ``_run_plan`` reads the control, target and axis columns and
-returns the runs, each with its closing swaps and pair-view shape, and
-every rotation's slot in one phase table, where the runs are stacked by
-control count k. A call then bins all angles with one bincount,
+returns the runs, each with its layout, closing swaps and pair-view
+shape, and every rotation's slot in one phase table, where the runs are
+stacked by control count k. A call then bins all angles with one bincount,
 transforms each k's stack once and takes one cos and one sin; per run it
 makes only one in-place pass over the amplitude pairs and the swaps. A
 synthesized result reaches the plan kept on the cached skeleton whose
@@ -34,6 +49,7 @@ oracle the fused pass is tested against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from numbers import Integral
 from typing import NamedTuple
@@ -78,6 +94,27 @@ def _cnot(amps: np.ndarray, c_pos: int, t_pos: int) -> None:
     view[:, 1, :, 1] = saved
 
 
+@functools.cache
+def _bit_reversal(k: int) -> np.ndarray:
+    """r[p] = p with its k bits in reverse order; cached and read-only."""
+    r = np.arange(1 << k).reshape((2,) * k).T.reshape(-1)
+    r.flags.writeable = False
+    return r
+
+
+class _Run(NamedTuple):
+    """One run of a plan, on its layout: qubit q is axis q - 1 of the
+    (2,) * n_bits view, or axis n_bits - q if flipped; in both, axis i is
+    flat index bit n_bits - 1 - i."""
+
+    flipped: bool  # runs on the bit-reversed layout
+    t_axis: int  # the target's axis
+    axis: int | None  # index into the circuit's axes, None without rotations
+    slots: slice | None  # its phase table, None without rotations
+    shape: tuple[int, ...]  # the pair-view shape of its phase table
+    swaps: tuple[int, ...]  # flat index bit of each control of its closing CNOTs
+
+
 class _Plan(NamedTuple):
     """What simulating a circuit needs besides its angles; see _run_plan."""
 
@@ -85,9 +122,7 @@ class _Plan(NamedTuple):
     bucket: np.ndarray  # per rotation row, its slot in the phase table
     size: int  # phase table length
     groups: tuple[tuple[int, int, int], ...]  # (k, first slot, end slot) per control count
-    runs: tuple[tuple[int, int | None, slice | None, tuple[int, ...], tuple[int, ...]], ...]
-    # per run: target; axis index and slots, both None without rotations;
-    # the pair-view shape of its phase table; its closing swap bits
+    runs: tuple[_Run, ...]
 
 
 def _run_plan(c: Circuit, n_bits: int) -> _Plan:
@@ -100,6 +135,11 @@ def _run_plan(c: Circuit, n_bits: int) -> _Plan:
     with k controls owns 2**k consecutive slots of one phase table, in
     which the runs are grouped by k so that each group transforms as one
     stack.
+
+    ``applied`` is the control mask whose swaps the amplitudes have had;
+    the fold and the layout rule are in the module docstring. A run without
+    rotations keeps the layout in force, and is dropped if its closing
+    swaps were folded away.
     """
     new_run = np.ones(len(c), dtype=bool)
     new_run[1:] = c.target[1:] != c.target[:-1]
@@ -111,9 +151,9 @@ def _run_plan(c: Circuit, n_bits: int) -> _Plan:
     # bit n_bits, which no qubit reads
     bits = np.left_shift(1, n_bits - c.control, dtype=np.int64)
     mask = np.bitwise_xor.accumulate(bits)  # running control mask from row 0
-    before = (mask[starts] ^ bits[starts]).tolist()
-    used = (np.bitwise_or.reduceat(bits, starts) & ((1 << n_bits) - 1)).tolist()
-    final = np.bitwise_xor.reduceat(bits, starts).tolist()
+    reach = (1 << n_bits) - 1
+    used = (np.bitwise_or.reduceat(bits, starts) & reach).tolist()
+    after = (mask[np.append(starts[1:], len(c)) - 1] & reach).tolist()
     bounds = np.searchsorted(rots, np.append(starts, len(c))).tolist()
     k = [u.bit_count() for u in used]
     first, groups, size = {}, [], 0  # first slot per run with rotations
@@ -126,16 +166,31 @@ def _run_plan(c: Circuit, n_bits: int) -> _Plan:
         groups.append((kj, begin, size))
     masks = mask[rots]
     bucket = np.empty(rots.size, dtype=np.int32)
-    runs = []
-    for j, (t, start, end) in enumerate(zip(c.target[starts].tolist(), bounds, bounds[1:])):
-        # bit i of a bucket is control bits[i], so the (2,) * k phase table
-        # lists the controls in qubit order, as the pair views do
-        bits_j = [b for b in range(n_bits) if used[j] >> b & 1]
-        swaps = tuple(b for b in bits_j if final[j] >> b & 1)
-        if start == end:
-            runs.append((t, None, None, (), swaps))
+    targets = c.target[starts].tolist()
+    runs, applied, flipped = [], 0, False
+    for j, (t, start, end) in enumerate(zip(targets, bounds, bounds[1:])):
+        base, close = applied, after[j] ^ applied
+        if j + 1 < len(targets) and targets[j + 1] == t and not close & ~used[j + 1]:
+            close = 0
+        applied ^= close
+        if start == end and not close:
             continue
-        m = masks[start:end] ^ before[j]
+        if start < end:
+            flipped = t - 1 > n_bits - t
+        bits_j = [b for b in range(n_bits) if used[j] >> b & 1]
+        # the layout's axis of each control; its flat index bit is n_bits - 1 - axis
+        t_axis = n_bits - t if flipped else t - 1
+        axes = bits_j if flipped else [n_bits - 1 - b for b in bits_j]
+        swaps = ()
+        if close:
+            swaps = tuple(n_bits - 1 - ax for ax, b in zip(axes, bits_j) if close >> b & 1)
+        if start == end:
+            runs.append(_Run(flipped, t_axis, None, None, (), swaps))
+            continue
+        # bit i of a pattern is control bits_j[i], so the (2,) * k phase table
+        # lists the controls from the highest index bit down, as the normal
+        # layout's axes do; the bit-reversed layout's axes run the other way
+        m = masks[start:end] ^ base
         lo = bits_j[0] if bits_j else 0
         if used[j] >> lo == (1 << k[j]) - 1:  # consecutive qubits: every ladder
             pattern = (m >> lo) & ((1 << k[j]) - 1)
@@ -143,14 +198,15 @@ def _run_plan(c: Circuit, n_bits: int) -> _Plan:
             pattern = np.zeros(m.size, dtype=np.int64)
             for i, b in enumerate(bits_j):
                 pattern |= ((m >> b) & 1) << i
+        if flipped:
+            pattern = _bit_reversal(k[j])[pattern]
         bucket[start:end] = pattern + first[j]
         # the target axis drops out of the pair views
         shape = [1] * (n_bits - 1)
-        for b in bits_j:
-            q = n_bits - b
-            shape[q - 1 if q < t else q - 2] = 2
+        for ax in axes:
+            shape[ax - (ax > t_axis)] = 2
         slots = slice(first[j], first[j] + (1 << k[j]))
-        runs.append((t, int(c.axis[rots[start]]), slots, tuple(shape), swaps))
+        runs.append(_Run(flipped, t_axis, int(c.axis[rots[start]]), slots, tuple(shape), swaps))
     return _Plan(rots.astype(np.int32), bucket, size, tuple(groups), tuple(runs))
 
 
@@ -170,7 +226,9 @@ def _apply_fused(amps: np.ndarray, c: Circuit, n_bits: int) -> None:
 
     Every run's phase table comes out of one bincount, one transform per
     control count and one cos and sin; then each run is one in-place pass
-    over the amplitude pairs and its closing swaps.
+    over the amplitude pairs and its closing swaps. The runs on the
+    bit-reversed layout work on a transposed copy in one spare buffer;
+    each layout switch is one transposed copy.
     """
     if not len(c):
         return
@@ -179,13 +237,21 @@ def _apply_fused(amps: np.ndarray, c: Circuit, n_bits: int) -> None:
     for k, lo, hi in plan.groups:
         half[lo:hi] = _fwht(half[lo:hi].reshape(-1, 1 << k)).reshape(-1)
     cos, sin = np.cos(half), np.sin(half)
-    view = amps.reshape((2,) * n_bits)
-    for target, a, slots, shape, swaps in plan.runs:
+    cube = (2,) * n_bits
+    flat, spare = amps, None  # flat is amps or, on the bit-reversed layout, spare
+    for flipped, t_axis, a, slots, shape, swaps in plan.runs:
+        if flipped != (flat is spare):
+            if spare is None:
+                spare = np.empty_like(amps)
+            into = amps if flat is spare else spare
+            np.copyto(into.reshape(cube), flat.reshape(cube).T)
+            flat = into
         if a is not None:
             cos_h = cos[slots].reshape(shape)
             sin_h = sin[slots].reshape(shape)
             axis = c.axes[a]
-            lead = (slice(None),) * (target - 1)
+            view = flat.reshape(cube)
+            lead = (slice(None),) * t_axis
             a0 = view[lead + (0, ...)]
             a1 = view[lead + (1, ...)]
             if axis.az:
@@ -204,9 +270,11 @@ def _apply_fused(amps: np.ndarray, c: Circuit, n_bits: int) -> None:
             else:
                 a0 *= r00
                 a1 *= r11
-        # X**parity(p & final) on the target is one CNOT per control in final
+        # X**parity(p & mask) on the target is one CNOT per control in mask
         for b in swaps:
-            _cnot(amps, b, n_bits - target)
+            _cnot(flat, b, n_bits - 1 - t_axis)
+    if flat is spare:
+        np.copyto(amps.reshape(cube), spare.reshape(cube).T)
 
 
 def apply_gate(x: StateVector, g: Gate) -> StateVector:

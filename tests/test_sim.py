@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -22,9 +23,11 @@ from ucrsynth import (
     basis_state,
     circuit_unitary,
     dagger,
+    disentangle,
     lower_ucr,
     make_state,
     prepare,
+    prepare_from_basis,
     random_state,
     simplify,
 )
@@ -48,6 +51,17 @@ def test_cnot_truth_table():
     # control 0 leaves the state alone
     idle = apply_gate(make_state(2, [0, 1, 0, 0]), Cnot(1, 2))
     assert list(idle.amplitudes) == [0, 1, 0, 0]
+
+
+def test_cnot_swaps_pairs_at_every_bit_pair():
+    # the bit-reversed layout calls _cnot with mirrored positions
+    n = 5
+    amps = random_state(n, 4).amplitudes
+    index = np.arange(1 << n)
+    for c_pos, t_pos in itertools.permutations(range(n), 2):
+        out = amps.copy()
+        sim._cnot(out, c_pos, t_pos)
+        assert np.array_equal(out, amps[np.where(index >> c_pos & 1, index ^ 1 << t_pos, index)])
 
 
 def test_rot_z_is_diagonal_phase():
@@ -213,14 +227,24 @@ def circuits(draw, max_n=7, max_gates=80):
     return Circuit(n, tuple(gates))
 
 
+# target 3's stretch opens with CNOTs after a z rotation on qubit 1, so its
+# y rotation starts a run of its own behind them
+OPENING_CNOTS = Circuit(3, (Rot(AXIS_Z, 1, 0.4), Cnot(1, 3), Cnot(2, 3), Rot(AXIS_Y, 3, 0.7),
+                            Cnot(1, 3), Rot(AXIS_Y, 3, -0.2), Cnot(2, 3)))
+
+
+def test_cnot_only_run_leaves_its_swaps_to_the_next_run():
+    # the y run reads its buckets against the unswapped mask, so the CNOTs
+    # ahead of it leave nothing to do and no run is planned for them
+    runs = sim._run_plan(OPENING_CNOTS, 3).runs
+    assert [(run.axis, run.swaps) for run in runs] == [(0, ()), (1, ())]
+
+
 @settings(deadline=None)
 @given(circuits(), st.integers(0, 2**32 - 1))
 @example(Circuit(3), 0)
 @example(Circuit(3, (Cnot(1, 3), Cnot(1, 3), Cnot(2, 3), Cnot(3, 1))), 1)
-# target 3's stretch opens with CNOTs after a z rotation on qubit 1, so its
-# y rotation starts a run of its own behind them
-@example(Circuit(3, (Rot(AXIS_Z, 1, 0.4), Cnot(1, 3), Cnot(2, 3), Rot(AXIS_Y, 3, 0.7),
-                     Cnot(1, 3), Rot(AXIS_Y, 3, -0.2), Cnot(2, 3))), 2)
+@example(OPENING_CNOTS, 2)
 def test_apply_circuit_matches_per_gate_fold(c, seed):
     x = random_state(c.n, seed)
     fused = apply_circuit(x, c)
@@ -346,6 +370,41 @@ def test_fused_ladders_match_per_gate_fold(c, seed):
 def test_ladder_strategy_reaches_wide_flips():
     assert widest_flip(CUT_LADDER) == 2
     find(ladders(), lambda c: widest_flip(c) >= 3)
+
+
+def layouts(c):
+    """Per run of c's plan, whether it runs on the bit-reversed layout."""
+    return [run.flipped for run in sim._run_plan(c, c.n).runs]
+
+
+def test_ladder_strategy_reaches_both_layouts():
+    # the cut ladder on qubit 4 runs bit-reversed and closes with swaps on
+    # qubits 3 and 2 (index bits 1 and 2, reversed to 2 and 1); then the z
+    # rotation on qubit 1 switches back
+    assert [(run.flipped, run.swaps) for run in sim._run_plan(CUT_LADDER, 4).runs] == [
+        (True, (2, 1)),
+        (False, ()),
+    ]
+    find(ladders(), lambda c: any(layouts(c)))
+    find(ladders(), lambda c: len(set(layouts(c))) == 2)
+    find(ladders(), lambda c: any(run.flipped and run.swaps
+                                  for run in sim._run_plan(c, c.n).runs))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_synthesized_plans_close_without_swaps(n):
+    # the z run of each UCR pair leaves its closing mask to the y run, whose
+    # own CNOTs cancel it: the pair holds a Gray cycle less one seam pair
+    a, b = random_state(n, 2 * n), random_state(n, 2 * n + 1)
+    last = (1 << n) - 1
+    results = [disentangle(a), prepare(a, b), *(prepare_from_basis(i, b) for i in (0, last))]
+    for r in results:
+        assert [run.swaps for run in sim._run_plan(r.circuit, n).runs if run.swaps] == []
+    flipped = layouts(results[1].circuit)
+    assert len(flipped) == 4 * n - 1
+    # qubits n down to about n / 2 run bit-reversed, in both halves
+    switches = sum(x != y for x, y in itertools.pairwise([False, *flipped, False]))
+    assert switches == (4 if n > 1 else 0)
 
 
 def test_only_synthesized_results_reach_the_skeleton_plan(monkeypatch):
