@@ -121,18 +121,14 @@ class Circuit:
     when control[r] > 0, else Rot(axes[axis[r]], target[r], angle[r]).
     Qubits are 1-based, so control 0 is free to mark a rotation; CNOT rows
     carry axis 0 and angle 0. ``axes`` holds distinct axis values. The
-    columns are read-only and may be shared between circuits.
+    columns and their owning arrays are read-only; circuits may share columns.
 
     ``Circuit(n, gates)`` converts and checks gate objects at the boundary.
     ``gates`` builds fresh gate objects from the columns on every access;
     ``len`` and the columns cost nothing extra.
-
-    A synthesized result keeps in ``_skeleton`` the cached circuit whose
-    control, target and axis columns it shares, and the simulator keeps that
-    skeleton's run plan in its ``_plan``; both are None on any other circuit.
     """
 
-    __slots__ = ("n", "control", "target", "axis", "axes", "angle", "_skeleton", "_plan")
+    __slots__ = ("n", "control", "target", "axis", "axes", "angle")
 
     def __init__(self, n: int, gates: Iterable[Gate] = ()):
         gates = tuple(gates)
@@ -174,7 +170,6 @@ class Circuit:
         self.target = _column(target, np.int32, qubit)
         self.axis = _column(axis, np.int32)
         self.angle = _column(angle, np.float64, "angle beyond the float range")
-        self._skeleton = self._plan = None
 
     @classmethod
     def _check(cls, n, cnot, control, target, axis, axes, angle) -> Circuit:
@@ -258,13 +253,15 @@ _CHUNK = 4096
 
 
 def _column(values, dtype, overflow: str = "") -> np.ndarray:
-    """Read-only column; an integer from outside the package that the dtype
-    cannot hold raises ValueError(overflow)."""
+    """Read-only column whose owning array is read-only too; an integer from
+    outside the package that the dtype cannot hold raises ValueError(overflow)."""
     try:
         out = np.asarray(values, dtype=dtype)
     except OverflowError:
         raise ValueError(overflow) from None
     out.flags.writeable = False
+    if isinstance(out.base, np.ndarray):  # no view of it can be made writable
+        out.base.flags.writeable = False
     return out
 
 

@@ -101,8 +101,8 @@ def _inverse(cascade: list[Level]) -> list[Level]:
 
 # Most cascade skeletons kept at once. One qubit count uses three layouts
 # (disentangle, prepare, prepare_from_basis); a prepare skeleton at n = 16
-# holds 6.3 MB of columns, plus 2.1 MB once a result of it is simulated
-# and it keeps the simulator's run plan.
+# holds 6.3 MB of columns, 12 bytes per row, which every result of it
+# shares and keeps alive once the skeleton is evicted.
 SKELETON_CACHE_SIZE = 8
 
 
@@ -138,7 +138,6 @@ def _skeleton(layout: tuple[tuple[int, Axis], ...]) -> tuple[Circuit, tuple[tupl
         # of more than one row opens with a CNOT
         rows.append((end - skip + (index % 2 == 1 and ladder.size > 1), merged))
         end += size
-    base.flags.writeable = False
     n, zero = max(t for t, _ in layout), np.broadcast_to(0.0, end)
     return Circuit._from_columns(n, *base[:, :end], tuple(axes), zero), tuple(rows)
 
@@ -183,7 +182,6 @@ def _compile(levels: list[Level], residual: float) -> SynthesisResult:
     circuit = Circuit._from_columns(
         skeleton.n, skeleton.control, skeleton.target, skeleton.axis, skeleton.axes, angle
     )
-    circuit._skeleton = skeleton
     return SynthesisResult(circuit=circuit, residual_phase=wrap_angle(residual))
 
 

@@ -15,6 +15,7 @@ from ucrsynth import (
     UcrGate,
     circuit_unitary,
     dagger,
+    dump_circuit,
     export_qasm,
     gate_counts,
     lower_ucr,
@@ -383,10 +384,34 @@ def test_gates_are_fresh_on_every_access():
 
 
 def test_columns_are_read_only():
-    c = random_circuit(2, 10, seed=4)
-    for column in (c.control, c.target, c.axis, c.angle):
-        with pytest.raises(ValueError):
-            column[0] = 0
+    from ucrsynth import disentangle, load_circuit, prepare, prepare_from_basis, random_state
+
+    a, b = random_state(3, 1), random_state(3, 2)
+    result = prepare(a, b).circuit
+    pruned = simplify(result, prune_atol=0.5)
+    assert len(pruned) < len(result)
+    g = UcrGate((1, 2), 3, AXIS_Y, [0.1, 0.2, 0.3, 0.4])
+    built = [
+        random_circuit(2, 10, seed=4),
+        load_circuit(dump_circuit(result))[0],
+        simplify(result),
+        pruned,
+        dagger(result),
+        dagger(pruned),
+        lower_ucr(g),
+        lower_ucr(g, mirrored=True),
+        result,
+        disentangle(a).circuit,
+        prepare_from_basis(5, b).circuit,
+    ]
+    for c in built:
+        for column in (c.control, c.target, c.axis, c.angle):
+            with pytest.raises(ValueError):
+                column[0] = 0
+            # nor through the array that owns it: views of a simplified or
+            # mirrored circuit's columns share one array
+            for array in (column, column.base):
+                assert array is None or not array.flags.writeable
 
 
 def test_equality_is_gate_tuple_equality():

@@ -207,6 +207,23 @@ def test_synth_reports_amplitude_error_of_a_small_amplitude(tmp_path, capsys):
     assert amplitude_error(capsys.readouterr().out) <= 1e-15
 
 
+def test_synth_then_verify_build_one_plan(tmp_path, monkeypatch, capsys):
+    # the circuit synth prunes and certifies and the one verify loads have
+    # equal columns, so they share one simulator plan, kept across commands
+    from test_sim import count_plans
+
+    a, b = write_states(tmp_path, n=6)
+    c = tmp_path / "c.json"
+    built = count_plans(monkeypatch)
+    for _ in range(2):
+        assert main(["synth", str(a), str(b), "--prune-epsilon", "1e-12", "--json", str(c)]) == 0
+        synth_out = capsys.readouterr().out
+        assert main(["verify", str(c), str(a), str(b)]) == 0
+        verify_out = capsys.readouterr().out
+        assert len(built) == 1
+        assert amplitude_error(synth_out) <= 1e-12 and amplitude_error(verify_out) <= 1e-12
+
+
 def test_verify_tolerance_flag(tmp_path, capsys):
     a, b = write_states(tmp_path, n=2)
     out_json = tmp_path / "c.json"

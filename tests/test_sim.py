@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from ucrsynth import (
     circuit_unitary,
     dagger,
     disentangle,
+    dump_circuit,
+    load_circuit,
     lower_ucr,
     make_state,
     prepare,
@@ -407,22 +410,75 @@ def test_synthesized_plans_close_without_swaps(n):
     assert switches == (4 if n > 1 else 0)
 
 
-def test_only_synthesized_results_reach_the_skeleton_plan(monkeypatch):
+def count_plans(monkeypatch) -> list:
+    """Empty the plan cache for one test; the returned list collects the
+    circuit of every plan built."""
+    monkeypatch.setattr(sim, "_plans", [])
+    built, plan = [], sim._run_plan
+    monkeypatch.setattr(sim, "_run_plan", lambda c, n_bits: built.append(c) or plan(c, n_bits))
+    return built
+
+
+def test_circuits_with_equal_columns_share_one_plan(monkeypatch):
     # product states: pruning drops the rotations whose angles vanish
     a, b = (make_state(6, functools.reduce(np.kron, [random_state(1, 10 * s + q).amplitudes
                                                      for q in range(6)])) for s in (1, 2))
     result = prepare(a, b).circuit
     pruned = simplify(result, prune_atol=1e-12)
     assert len(pruned) < len(result)
-    built = []
-    plan = sim._run_plan
-    monkeypatch.setattr(sim, "_run_plan", lambda c, n_bits: built.append(c) or plan(c, n_bits))
-    images = [apply_circuit(a, c) for c in (result, result, pruned, pruned, dagger(result))]
-    # the result's plan is built at most once, and on its skeleton; the pruned
-    # and the daggered circuit build theirs on every call
-    home = result._skeleton
-    assert [c for c in built if c is not home] == [pruned, pruned, dagger(result)]
-    assert home._plan is not None and pruned._skeleton is None
-    for image in images[1:4]:
-        assert np.abs(image.amplitudes - images[0].amplitudes).max() <= 1e-12
-    assert np.abs(images[0].amplitudes - fold(a, result).amplitudes).max() <= 1e-12
+    built = count_plans(monkeypatch)
+    copy = Circuit._from_columns(6, *(col.copy() for col in (
+        result.control, result.target, result.axis)), result.axes, result.angle.copy())
+    same = [result, simplify(result), load_circuit(dump_circuit(result))[0], copy]
+    images = [apply_circuit(a, c).amplitudes for c in same]
+    second = prepare(b, a).circuit
+    assert np.abs(apply_circuit(b, second).amplitudes - fold(b, second).amplitudes).max() <= 1e-12
+    assert built == [result]
+    assert np.abs(images[0] - fold(a, result).amplitudes).max() <= 1e-12
+    assert all(image.tobytes() == images[0].tobytes() for image in images)
+    # a reversed circuit's columns are new views on every call, equal ones;
+    # a prepare layout reads the same reversed, a disentangle one does not
+    for _ in range(2):
+        for inverse in (dagger(result), dagger(disentangle(a).circuit)):
+            image = apply_circuit(a, inverse).amplitudes
+            assert np.abs(image - fold(a, inverse).amplitudes).max() <= 1e-12
+    assert len(built) == 2
+    # their own plans: other columns of the same length, or another register
+    changed = result.control.copy()
+    r = int(np.flatnonzero(result.control == 5)[0])
+    changed[r] = 4 if result.target[r] != 4 else 3
+    other = Circuit._from_columns(6, changed, result.target, result.axis, result.axes, result.angle)
+    assert len(other) == len(result) and other != result
+    for c in (pruned, other):
+        assert np.abs(apply_circuit(a, c).amplitudes - fold(a, c).amplitudes).max() <= 1e-12
+    assert np.abs(circuit_unitary(result) @ a.amplitudes - images[0]).max() <= 1e-12
+    assert len(built) == 5 and built[2] is pruned and built[3] is other and built[4] is result
+    for c in same:
+        apply_circuit(a, c)
+    assert len(built) == 5
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+@example([*range(1, 10)] * 2, 0)
+def test_evicted_plans_rebuild_bit_identical(visits, seed):
+    # each qubit count uses up to three column layouts, so a visit list with
+    # more than five distinct counts evicts plans, and revisits rebuild them
+    rng = np.random.default_rng(seed)
+    kept, runs, misses = [], [], 0  # kept models the cache's keys, most recent first
+    with (mock.patch.object(sim, "_plans", []),
+          mock.patch.object(sim, "_run_plan", wraps=sim._run_plan) as run_plan):
+        for n in visits:
+            a, b = (random_state(n, int(s)) for s in rng.integers(1 << 30, size=2))
+            i = int(rng.integers(1 << n))
+            for result in (disentangle(a), prepare(a, b), prepare_from_basis(i, b)):
+                c = result.circuit
+                key = n, c.control.tobytes(), c.target.tobytes(), c.axis.tobytes()
+                misses += key not in kept
+                kept = [key, *(k for k in kept if k != key)][: sim._PLAN_CACHE_SIZE]
+                x = random_state(n, int(rng.integers(1 << 30)))
+                runs.append((x, c, apply_circuit(x, c).amplitudes.tobytes()))
+                assert run_plan.call_count == misses
+    for x, c, image in runs:
+        with mock.patch.object(sim, "_plans", []):
+            assert apply_circuit(x, c).amplitudes.tobytes() == image

@@ -5,8 +5,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from ucrsynth import (
     AXIS_Y,
@@ -463,26 +461,6 @@ def test_skeleton_cache_reuse_and_eviction():
     assert after.hits - before.hits >= 3 * 18
     assert after.misses - before.misses >= 3 * 9
     assert after.currsize == SKELETON_CACHE_SIZE
-
-
-@settings(deadline=None, max_examples=20)
-@given(st.lists(st.integers(1, 9), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
-@example([*range(1, 10)] * 2, 0)
-def test_simulating_a_result_equals_a_fresh_plan(visits, seed):
-    # each qubit count uses three layouts, so a visit list with more than
-    # two distinct counts evicts skeletons (and their plans) and rebuilds them
-    rng = np.random.default_rng(seed)
-    for n in visits:
-        a, b = (random_state(n, int(s)) for s in rng.integers(1 << 30, size=2))
-        i = int(rng.integers(1 << n))
-        for result in (disentangle(a), prepare(a, b), prepare_from_basis(i, b)):
-            c = result.circuit
-            fresh = Circuit._from_columns(c.n, *(col.copy() for col in (
-                c.control, c.target, c.axis)), c.axes, c.angle.copy())
-            x = random_state(n, int(rng.integers(1 << 30)))
-            planned = apply_circuit(x, c)
-            assert c._skeleton._plan is not None and fresh._skeleton is None
-            assert planned.amplitudes.tobytes() == apply_circuit(x, fresh).amplitudes.tobytes()
 
 
 def test_results_cannot_write_the_shared_skeleton():
