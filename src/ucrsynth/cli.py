@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import Circuit, simplify
+from .circuit import Circuit, gate_counts, simplify
 from .errors import DimensionError, ExportError, ParseError
 from .formats import dump_circuit, dump_state, export_qasm, load_circuit, load_state
 from .sim import _plan, apply_circuit
@@ -180,48 +180,83 @@ def _best_of(repeats: int, call) -> float:
     return best
 
 
-def _bench_cli(seed: int, n: int = 8) -> dict:
-    """Best time of in-process ``synth --json --qasm`` plus ``verify`` on n-qubit files."""
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        a, b, c, q = (os.path.join(tmp, f) for f in ("a.json", "b.json", "c.json", "c.qasm"))
-        _write(a, dump_state(random_state(n, seed + 2 * n)))
-        _write(b, dump_state(random_state(n, seed + 2 * n + 1)))
-        argvs = ["synth", a, b, "--json", c, "--qasm", q], ["verify", c, a, b]
-        best = _best_of(BENCH_REPEATS, lambda: [main(argv) for argv in argvs])
-    return {"n": n, "synth_verify_s": best}
+def _bench_cli(a: StateVector, b: StateVector, *flags: str) -> float:
+    """Best time of in-process ``synth --json`` with these flags plus ``verify``
+    on files of a and b; flags name their files relative to a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        _write("a.json", dump_state(a))
+        _write("b.json", dump_state(b))
+        synth = ["synth", "a.json", "b.json", "--json", "c.json", *flags]
+        argvs = synth, ["verify", "c.json", "a.json", "b.json"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            return _best_of(BENCH_REPEATS, lambda: [main(argv) for argv in argvs])
+
+
+def _product(n: int, seed: int) -> np.ndarray:
+    """Amplitudes of a product of n one-qubit states, qubit q drawn with seed + q."""
+    return functools.reduce(np.kron, [random_state(1, seed + q).amplitudes for q in range(n)])
+
+
+def _bench_pruned(n: int = 12) -> dict:
+    """``synth --prune-epsilon 1e-12`` plus ``verify`` on seeded product states,
+    with the time of the pruning pass alone and the counts it leaves."""
+    a, b = (make_state(n, _product(n, 100 * seed)) for seed in (n, n + 1))
+    circuit = prepare(a, b).circuit
+    pruned = simplify(circuit, prune_atol=1e-12)
+    return {
+        "n": n,
+        "synth_verify_s": _bench_cli(a, b, "--prune-epsilon", "1e-12"),
+        "simplify_s": _best_of(BENCH_REPEATS, lambda: simplify(circuit, prune_atol=1e-12)),
+        "before": gate_counts(circuit),
+        "after": gate_counts(pruned),
+    }
 
 
 def _digest_states(n: int, seed: int) -> list[StateVector]:
     """A Haar state, the same with a random half of its amplitudes zeroed, a product state."""
     haar = random_state(n, seed)
     half_zero = haar.amplitudes * (np.random.default_rng(seed).permutation(1 << n) & 1)
-    qubits = [random_state(1, 16 * seed + q).amplitudes for q in range(n)]
-    product = functools.reduce(np.kron, qubits)
+    product = _product(n, 16 * seed)
     return [haar, *(make_state(n, amps, normalize=True) for amps in (half_zero, product))]
 
 
-def _digest() -> str:
-    """SHA-256 over 360 seeded results; equal digests mean bit-identical outputs.
+def _words(c: Circuit) -> list:
+    """n, the control, target and axis columns, and the axes and angles by float.hex."""
+    columns = np.stack([c.control, c.target, c.axis]).astype("<i4").tobytes().hex()
+    floats = [v for axis in c.axes for v in (axis.ay, axis.az)] + c.angle.tolist()
+    return [c.n, columns, *map(float.hex, floats)]
 
-    n = 1..10; Haar, half-zero and product states, three seeds each;
-    disentangle, prepare, and prepare_from_basis at i = 0 and at a random
-    i. Each result adds n, its control, target and axis columns, its axes,
-    every angle and the residual phase by float.hex, and its counts.
+
+def _digests() -> dict[str, str]:
+    """SHA-256 digests of seeded outputs; equal digests mean bit-identical outputs.
+
+    n = 1..10; Haar, half-zero and product states, three seeds each.
+    ``digest`` covers 360 results: disentangle, prepare, and
+    prepare_from_basis at i = 0 and at a random i. Each result adds its
+    circuit's n, control, target and axis columns, axes and angles, its
+    residual phase by float.hex, and its counts. ``digest_pruned`` covers
+    the circuits of ``simplify(prepare(a, b).circuit, prune_atol=1e-12)``
+    the same way, and ``digest_sim`` the amplitudes of
+    ``apply_circuit(a, prepare(a, b).circuit)`` by float.hex.
     """
-    digest = hashlib.sha256()
+    digests = {name: hashlib.sha256() for name in ("digest", "digest_pruned", "digest_sim")}
+
+    def add(name: str, words: list) -> None:
+        digests[name].update(" ".join(map(str, words)).encode() + b"\n")
+
     for n in range(1, 11):
         for seed in range(100 * n, 100 * n + 3):
             i = int(np.random.default_rng(seed).integers(1 << n))
             for a, b in zip(_digest_states(n, 2 * seed), _digest_states(n, 2 * seed + 1)):
                 results = [disentangle(a), prepare(a, b)]
                 for r in results + [prepare_from_basis(j, b) for j in (0, i)]:
-                    c = r.circuit
-                    columns = np.stack([c.control, c.target, c.axis]).astype("<i4").tobytes().hex()
-                    floats = [v for axis in c.axes for v in (axis.ay, axis.az)]
-                    floats += [*c.angle.tolist(), r.residual_phase]
-                    words = [c.n, columns, *map(float.hex, floats), *r.counts.values()]
-                    digest.update(" ".join(map(str, words)).encode() + b"\n")
-    return digest.hexdigest()
+                    words = [float.hex(r.residual_phase), *r.counts.values()]
+                    add("digest", _words(r.circuit) + words)
+                circuit = results[1].circuit
+                add("digest_pruned", _words(simplify(circuit, prune_atol=1e-12)))
+                amplitudes = apply_circuit(a, circuit).amplitudes.view(np.float64)
+                add("digest_sim", list(map(float.hex, amplitudes.tolist())))
+    return {name: d.hexdigest() for name, d in digests.items()}
 
 
 def _append_run(path: str, run: dict) -> None:
@@ -272,14 +307,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
             row["sim_swaps"] = sum(len(run.swaps) for run in runs)
             rows.append(row)
     if args.json:
+        a8, b8 = (random_state(8, args.seed + 16 + side) for side in (0, 1))
         run = {
             "label": args.label,
             "machine": _machine(),
             "seed": args.seed,
             "repeats": BENCH_REPEATS,
             "rows": rows,
-            "cli": _bench_cli(args.seed),
-            "digest": _digest(),
+            "cli": {"n": 8, "synth_verify_s": _bench_cli(a8, b8, "--qasm", "c.qasm")},
+            "cli_pruned": _bench_pruned(),
+            **_digests(),
         }
         _append_run(args.json, run)
     return EXIT_OK
@@ -334,8 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         metavar="PATH",
         help="append a run (machine, counts against the bounds, best-of-5 times of prepare, "
-        "prepare_from_basis and apply_circuit per n and of CLI synth plus verify at n = 8, "
-        "and a SHA-256 digest of 360 seeded results) to the record at PATH",
+        "prepare_from_basis and apply_circuit per n, of CLI synth plus verify at n = 8 and "
+        "of a pruned synth plus verify at n = 12, and SHA-256 digests of seeded results, "
+        "pruned circuits and simulated states) to the record at PATH",
     )
     bench.add_argument("--label", default=None, help="name of the run in the --json record")
     return parser

@@ -364,9 +364,18 @@ def test_bench_json_record(tmp_path, capsys):
     for run in runs:
         assert set(run["cli"]) == {"n", "synth_verify_s"}
         assert run["cli"]["n"] == 8 and run["cli"]["synth_verify_s"] > 0
-    # and the digest of a fixed sweep of results, whatever --n-max and --seed say
-    assert re.fullmatch("[0-9a-f]{64}", runs[0]["digest"])
-    assert runs[1]["digest"] == runs[0]["digest"]
+    # and the pruned synth plus verify on the seeded n = 12 product states
+    for run in runs:
+        pruned = run["cli_pruned"]
+        assert set(pruned) == {"n", "synth_verify_s", "simplify_s", "before", "after"}
+        assert pruned["n"] == 12 and min(pruned["synth_verify_s"], pruned["simplify_s"]) > 0
+        assert pruned["before"] == {"cnot": 16332, "rot": 16379}
+        assert pruned["after"] == {"cnot": 16332, "rot": 7796}
+    # and the digests of a fixed sweep of outputs, whatever --n-max and --seed say
+    for name in ("digest", "digest_pruned", "digest_sim"):
+        assert re.fullmatch("[0-9a-f]{64}", runs[0][name])
+        assert runs[1][name] == runs[0][name]
+    assert len({runs[0][name] for name in ("digest", "digest_pruned", "digest_sim")}) == 3
     bad = tmp_path / "bad.json"
     bad.write_text("[1]")
     assert main(["bench", "--n-max", "1", "--json", str(bad)]) == 2
