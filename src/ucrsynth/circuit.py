@@ -9,6 +9,7 @@ amplitude index.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -163,13 +164,21 @@ class Circuit:
         return c
 
     def _fill(self, n, control, target, axis, axes, angle) -> None:
-        self.n = n
-        self.axes = tuple(axes)
         qubit = f"qubit index outside 1..{n}"
-        self.control = _column(control, np.int32, qubit)
-        self.target = _column(target, np.int32, qubit)
-        self.axis = _column(axis, np.int32)
-        self.angle = _column(angle, np.float64, "angle beyond the float range")
+        for name, value in (
+            ("n", n),
+            ("axes", tuple(axes)),
+            ("control", _column(control, np.int32, qubit)),
+            ("target", _column(target, np.int32, qubit)),
+            ("axis", _column(axis, np.int32)),
+            ("angle", _column(angle, np.float64, "angle beyond the float range")),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        # a rebound column could be a writable array, which a kept run plan
+        # would no longer describe once written to
+        raise AttributeError(f"cannot set {name!r}: a Circuit is immutable")
 
     @classmethod
     def _check(cls, n, cnot, control, target, axis, axes, angle) -> Circuit:
@@ -241,7 +250,10 @@ class Circuit:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.gates))
+        # what __eq__ compares, less the axes, whose numbering may differ
+        # between equal circuits; + 0.0 folds -0.0, which equals 0.0
+        rot = self.angle[self.control == 0] + 0.0
+        return hash((self.n, self.control.tobytes(), self.target.tobytes(), rot.tobytes()))
 
     def __repr__(self) -> str:
         return f"Circuit(n={self.n!r}, gates={self.gates!r})"
@@ -339,33 +351,129 @@ def dagger(c: Circuit) -> Circuit:
 def simplify(c: Circuit, *, prune_atol: float | None = None) -> Circuit:
     """Peephole simplification to fixpoint, preserving the circuit unitary.
 
-    A row reduces with the stack top iff their (control, target, axis) agree,
-    as CNOT rows carry axis 0: identical CNOTs cancel, and rotations about one
-    axis on one target merge by angle addition. Rotations with
-    |angle| <= prune_atol after merging are dropped; None (the default) prunes
-    nothing, so generic counts keep their closed-form values. No two adjacent
-    stack rows share a key, so one pass reaches the fixpoint.
+    The rule is a stack pass over the rows in time order. A row reduces
+    with the stack top iff their (control, target, axis) keys agree, as
+    CNOT rows carry axis 0: identical CNOTs cancel, and rotations about one
+    axis on one target merge by angle addition, left to right. A rotation
+    with |angle| <= prune_atol is dropped on arrival unless it merges, and
+    a merge that lands there pops both rows, exposing the row below; None
+    (the default) prunes nothing, so generic counts keep their closed-form
+    values. No two adjacent stack rows share a key, so one pass reaches
+    the fixpoint.
+
+    The pass applies the rule only to rows that can meet a top with their
+    own key. A row is hot if its key equals the previous row's, or if it
+    is a rotation within prune_atol. Once a row stays on the stack, pushed
+    or merged, the top holds its key; the next row, if not hot, has another
+    key, so it is pushed as it is and holds the top in turn. So every
+    stretch of rows up to the next hot one is pushed whole, as one range,
+    and only hot rows and the row after one that left the stack meet the
+    top. A rotation within prune_atol after a row outside it with another
+    key meets that row on the top and is dropped, so it is taken out before
+    neighbouring keys are compared, and meets the top only when that row
+    left the stack. The output is one gather of the rows that stay, with
+    the merged angles written over theirs.
     """
     if prune_atol is not None and not (_instances([prune_atol], Real) and 0 <= prune_atol < math.inf):
         raise ValueError(f"prune_atol must be a finite number >= 0, got {prune_atol!r}")
-    keys: list[tuple[int, int, int]] = []
-    angles: list[float] = []
-    rows = zip(c.control.tolist(), c.target.tolist(), c.axis.tolist())
-    for key, angle in zip(rows, c.angle.tolist()):
-        if keys and keys[-1] == key:
-            keys.pop()
-            angle += angles.pop()
-            if key[0]:
-                continue  # identical CNOTs cancel
-        if prune_atol is not None and not key[0] and abs(angle) <= prune_atol:
-            continue
-        keys.append(key)
-        angles.append(angle)
-    control, target, axis = np.array(keys, dtype=np.int32).reshape(-1, 3).T
-    out = Circuit._from_columns(c.n, control, target, axis, c.axes, angles)
+    if prune_atol is None:
+        atol = -1.0
+    else:  # the largest float <= prune_atol, which every float compares with alike
+        atol = float(min(prune_atol, sys.float_info.max))
+        atol = math.nextafter(atol, 0.0) if atol > prune_atol else atol
+    # one integer per key, negative for rotations: a CNOT row has control
+    # > 0 and axis 0, a rotation row control 0, so control - axis and the
+    # target tell keys apart; int32 holds it for all but huge n or axes
+    span = min(c.n, 2**31 - 1) + 1
+    slot = c.control - c.axis
+    if (max(c.n, len(c.axes)) + 1) * span >= 2**31:
+        slot = slot.astype(np.int64)
+    key = slot * span - c.target
+    if prune_atol is None:
+        tiny = np.zeros(len(c), dtype=bool)
+    else:
+        tiny = (key < 0) & (np.abs(c.angle) <= atol)
+    same = key[1:] == key[:-1]
+    control, target, axis, angle = c.control, c.target, c.axis, c.angle
+    if tiny.any() or same.any():  # else no row reduces or is dropped
+        rows, merged = _stack_pass(key, angle, tiny, same, atol)
+        control, target, axis, angle = control[rows], target[rows], axis[rows], angle[rows]
+        angle[np.searchsorted(rows, list(merged))] = list(merged.values())
+    out = Circuit._from_columns(c.n, control, target, axis, c.axes, angle)
     bad = ~np.isfinite(out.angle)  # two finite angles can merge to inf
     if bad.any():  # build that row's gate alone; out.gates would build every row
         r = int(np.argmax(bad))
         g = Rot(out.axes[out.axis[r]], int(out.target[r]), float(out.angle[r]))
         raise ValueError(f"gate {g} has a non-finite angle")
     return out
+
+
+def _stack_pass(key, angle, tiny, same, atol) -> tuple[np.ndarray, dict[int, float]]:
+    """simplify's stack rule on rows with these keys and angles: the rows
+    that stay, in order, and the angle of each merged one by row."""
+    # a rotation within atol after a row outside it with another key is
+    # lone: it meets that row on the top unless that row left the stack
+    lone = tiny.copy()
+    lone[1:] &= ~(tiny[:-1] | same)
+    lone[:1] = False
+    keep = np.flatnonzero(~lone)  # the rows the rule visits, in order
+    before_lone = np.append(lone[1:], False)[keep]
+    row_key, key = key, key[keep]
+    hot = tiny[keep]
+    hot[1:] |= key[1:] == key[:-1]
+    hot = [*np.flatnonzero(hot).tolist(), keep.size]
+
+    # the stack: ranges [start, end) of positions in keep, and the angles
+    # of merged rows on it by position
+    starts: list[int] = []
+    ends: list[int] = []
+    merged: dict[int, float] = {}
+
+    def meet(k: int, a: float) -> bool | None:
+        """Reduce a row of key k and angle a with the top: None if the top
+        has another key, else whether the row stays, merged into the top."""
+        if not ends or key.item(ends[-1] - 1) != k:
+            return None
+        top = ends[-1] - 1
+        if k < 0:
+            a += merged.get(top, angle.item(keep.item(top)))
+            if not abs(a) <= atol:
+                merged[top] = a
+                return True
+            merged.pop(top, None)
+        ends[-1] = top
+        if top == starts[-1]:
+            del starts[-1], ends[-1]
+        return False
+
+    def push(lo: int, hi: int) -> None:
+        """Push positions lo..hi - 1, joining the top range if it ends at lo."""
+        if lo < hi and ends and ends[-1] == lo:
+            ends[-1] = hi
+        elif lo < hi:
+            starts.append(lo)
+            ends.append(hi)
+
+    j = h = 0
+    while j < keep.size:
+        r = keep.item(j)
+        k, a = key.item(j), angle.item(r)
+        stays = meet(k, a)
+        first = j if stays is None else j + 1  # the first row still to push
+        if stays is None:
+            stays = k > 0 or not abs(a) <= atol
+        if not stays:
+            if before_lone.item(j):
+                meet(row_key.item(r + 1), angle.item(r + 1))
+            j += 1
+            continue
+        while hot[h] <= j:
+            h += 1
+        push(first, hot[h])  # row j, unless merged, and the stretch after it
+        j = hot[h]
+
+    starts, ends = np.array(starts, dtype=np.intp), np.array(ends, dtype=np.intp)
+    lengths = ends - starts
+    position = np.arange(lengths.sum())
+    position += np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return keep[position], {keep.item(p): a for p, a in merged.items()}

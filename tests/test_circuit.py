@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import re
 
@@ -13,12 +15,16 @@ from ucrsynth import (
     ExportError,
     Rot,
     UcrGate,
+    apply_circuit,
     circuit_unitary,
     dagger,
     dump_circuit,
     export_qasm,
     gate_counts,
     lower_ucr,
+    make_state,
+    prepare,
+    random_state,
     rot_matrix,
     simplify,
     ucr_matrix,
@@ -412,6 +418,44 @@ def test_columns_are_read_only():
             # mirrored circuit's columns share one array
             for array in (column, column.base):
                 assert array is None or not array.flags.writeable
+
+
+def test_circuit_attributes_cannot_be_rebound():
+    c = prepare(random_state(3, 1), random_state(3, 2)).circuit
+    x = random_state(3, 5)
+    image = apply_circuit(x, c).amplitudes
+    for name in (*Circuit.__slots__, "gates"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, getattr(c, name))
+    # a writable control column rebound here, written to after a simulation,
+    # used to leave the kept run plan stale
+    with pytest.raises(AttributeError, match="cannot set 'control': a Circuit is immutable"):
+        c.control = c.control.copy()
+    assert c.control.flags.writeable is False
+    assert apply_circuit(x, c).amplitudes.tobytes() == image.tobytes()
+
+
+def structured_states(n):
+    """GHZ, W, non-negative real, block-sparse and product states on n qubits."""
+    amps = np.zeros((2, 1 << n))
+    amps[0, [0, -1]] = 1.0
+    amps[1, [1 << q for q in range(n)]] = 1.0
+    real = np.abs(np.random.default_rng(n).standard_normal(1 << n))
+    block = random_state(n, n).amplitudes * (np.arange(1 << n) >> 2 & 1 == 0)
+    product = functools.reduce(np.kron, [random_state(1, 10 * n + q).amplitudes for q in range(n)])
+    return [make_state(n, a, normalize=True) for a in (*amps, real, block, product)]
+
+
+def test_pruned_prepare_circuits_match_the_oracle():
+    # structured pairs zero whole ladders of angles, so pruning leaves runs
+    # of CNOTs that cancel across dropped rotations
+    for n in range(1, 10):
+        for a, b in itertools.product(structured_states(n), repeat=2):
+            c = prepare(a, b).circuit
+            got = simplify(c, prune_atol=1e-12)
+            expect = simplify_gates(c, prune_atol=1e-12, prune=True)
+            assert got == expect
+            assert [v.hex() for v in got.angle.tolist()] == [v.hex() for v in expect.angle.tolist()]
 
 
 def test_equality_is_gate_tuple_equality():

@@ -278,6 +278,29 @@ def angle_bits(c):
 
 
 @settings(deadline=None)
+@given(circuits(max_n=4))
+@example(Circuit(2))
+def test_circuit_unitary_matches_per_gate_columns(c):
+    u = circuit_unitary(c)
+    for index in range(1 << c.n):
+        col = fold(basis_state(c.n, index), c)
+        assert np.abs(u[:, index] - col.amplitudes).max() <= 1e-12
+
+
+@settings(deadline=None)
+@given(circuits())
+def test_dagger_is_an_involution(c):
+    twice = dagger(dagger(c))
+    assert twice == c
+    # bit for bit: negating twice restores the sign of a zero angle
+    assert angle_bits(twice) == angle_bits(c)
+
+
+def angle_bits(c):
+    return [g.angle.hex() for g in c.gates if isinstance(g, Rot)]
+
+
+@settings(deadline=None)
 @given(circuits())
 @example(Circuit(2, (Cnot(1, 2), Rot(AXIS_Y, 2, 0.25), Rot(AXIS_Y, 2, -0.25), Cnot(1, 2),
                      Rot(AXIS_Z, 1, -0.0), Rot(AXIS_Z, 1, 0.0), Rot(AXIS_Y, 1, 0.5))))
@@ -332,6 +355,102 @@ def ladders(draw, max_n=7, max_ucrs=4):
                            mirrored=draw(st.booleans())).gates
         gates += ladder[: draw(st.integers(1, len(ladder)))] if draw(st.booleans()) else ladder
     return Circuit(n, tuple(gates))
+
+
+# rows a ladder of a structured state prunes: exact zeros of either sign
+# and angles within the 1e-12 threshold
+PRUNED = st.sampled_from([0.0, -0.0, 1e-13, -1e-13])
+
+
+@st.composite
+def pruned_ladders(draw):
+    """ladders() with some rotation angles replaced from PRUNED."""
+    c = draw(ladders())
+    angle = c.angle.copy()
+    rotations = np.flatnonzero(c.control == 0).tolist()
+    for r in draw(st.sets(st.sampled_from(rotations))) if rotations else ():
+        angle[r] = draw(PRUNED)
+    return Circuit._from_columns(c.n, c.control, c.target, c.axis, c.axes, angle)
+
+
+PRUNE_ATOLS = (None, 0.0, 1e-12, 0.5)
+# each pins an order of the stack pass: the tiny rotation merges into the
+# first one once the CNOTs between them cancel, rather than being pruned;
+# of three identical CNOTs one stays; the y pair merges to 0, which exposes
+# the z rotation for the last one to merge into; the CNOTs after the pruned
+# or merged y rotations cancel with the ones before them, the second with
+# what the first exposed; zeros of both signs merge
+STACK_ORDERS = [
+    Circuit(2, (Rot(AXIS_Y, 2, 0.7), Cnot(1, 2), Cnot(1, 2), Rot(AXIS_Y, 2, 1e-13))),
+    Circuit(2, (Cnot(1, 2), Cnot(1, 2), Cnot(1, 2))),
+    Circuit(1, (Rot(AXIS_Z, 1, 0.4), Rot(AXIS_Y, 1, 0.7), Rot(AXIS_Y, 1, -0.7), Rot(AXIS_Z, 1, 0.1))),
+    Circuit(3, (Cnot(1, 3), Cnot(2, 3), Rot(AXIS_Y, 3, 1e-13), Cnot(2, 3), Cnot(1, 3))),
+    Circuit(3, (Cnot(1, 3), Cnot(2, 3), Rot(AXIS_Y, 3, 0.5), Rot(AXIS_Y, 3, -0.5),
+                Cnot(2, 3), Cnot(1, 3), Rot(AXIS_Y, 3, 0.25))),
+    Circuit(1, (Rot(AXIS_Y, 1, -0.0), Rot(AXIS_Y, 1, -0.0), Rot(AXIS_Z, 1, -0.0), Rot(AXIS_Z, 1, 0.0))),
+]
+
+
+def simplify_cases(test):
+    """Run test on circuits, ladders and pruned ladders, and on STACK_ORDERS."""
+    test = given(st.one_of(circuits(), ladders(), pruned_ladders()))(test)
+    for c in [*STACK_ORDERS, Circuit(2, (Cnot(1, 2), Rot(AXIS_Y, 2, 0.25), Rot(AXIS_Y, 2, -0.25),
+              Cnot(1, 2), Rot(AXIS_Z, 1, -0.0), Rot(AXIS_Z, 1, 0.0), Rot(AXIS_Y, 1, 0.5)))]:
+        test = example(c)(test)
+    return settings(deadline=None)(test)
+
+
+@simplify_cases
+def test_simplify_matches_gate_object_oracle(c):
+    for atol in PRUNE_ATOLS:
+        got = simplify(c, prune_atol=atol)
+        expect = simplify_gates(c, prune_atol=atol or 0.0, prune=atol is not None)
+        assert got == expect
+        assert angle_bits(got) == angle_bits(expect)
+
+
+@simplify_cases
+def test_simplify_is_idempotent(c):
+    for atol in PRUNE_ATOLS:
+        once = simplify(c, prune_atol=atol)
+        twice = simplify(once, prune_atol=atol)
+        assert twice == once
+        assert angle_bits(twice) == angle_bits(once)
+
+
+@settings(deadline=None)
+@given(st.one_of(circuits(), pruned_ladders()), st.integers(0, 2**32 - 1))
+@example(Circuit(1, (Rot(AXIS_Y, 1, -0.0), Rot(AXIS_Z, 1, 0.0))), 3)  # axes swapped
+def test_equal_circuits_hash_alike(c, seed):
+    # axes listed in another order, zero angles of the other sign, a loaded
+    # copy, a double inverse and a rebuilt circuit are all equal to c
+    order = np.random.default_rng(seed).permutation(len(c.axes))
+    axis = np.argsort(order)[c.axis] * (c.control == 0) if c.axes else c.axis
+    reordered = tuple(c.axes[i] for i in order)
+    flipped = np.where(c.angle == 0.0, -c.angle, c.angle)
+    variants = [
+        Circuit._from_columns(c.n, c.control, c.target, axis, reordered, flipped),
+        load_circuit(dump_circuit(c))[0],
+        dagger(dagger(c)),
+        Circuit(c.n, c.gates),
+    ]
+    for v in variants:
+        assert v == c
+        assert hash(v) == hash(c)
+
+
+def test_stack_orders_pinned():
+    # what the stack pass gives on STACK_ORDERS at prune_atol 1e-12
+    expect = [
+        (Rot(AXIS_Y, 2, 0.7 + 1e-13),),
+        (Cnot(1, 2),),
+        (Rot(AXIS_Z, 1, 0.4 + 0.1),),
+        (),
+        (Rot(AXIS_Y, 3, 0.25),),
+        (),
+    ]
+    assert [simplify(c, prune_atol=1e-12).gates for c in STACK_ORDERS] == expect
+    assert angle_bits(simplify(STACK_ORDERS[-1])) == [(-0.0).hex(), 0.0.hex()]
 
 
 def widest_flip(c):
