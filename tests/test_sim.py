@@ -391,11 +391,22 @@ STACK_ORDERS = [
 ]
 
 
+# qubits this wide overflow an int32 key
+WIDE = 2**20
+EXAMPLES = [
+    *STACK_ORDERS,
+    Circuit(2, (Cnot(1, 2), Rot(AXIS_Y, 2, 0.25), Rot(AXIS_Y, 2, -0.25), Cnot(1, 2),
+                Rot(AXIS_Z, 1, -0.0), Rot(AXIS_Z, 1, 0.0), Rot(AXIS_Y, 1, 0.5))),
+    Circuit(2, (Cnot(1, 2), Rot(AXIS_Y, 2, 1.0), Rot(AXIS_Y, 2, -0.8), Cnot(1, 2))),
+    Circuit(WIDE, (Cnot(WIDE - 1, WIDE), Cnot(WIDE - 1, WIDE), Cnot(WIDE - 1, WIDE),
+                   Rot(AXIS_Y, WIDE, 0.5), Rot(AXIS_Y, WIDE, 1e-13))),
+]
+
+
 def simplify_cases(test):
-    """Run test on circuits, ladders and pruned ladders, and on STACK_ORDERS."""
+    """Run test on circuits, ladders and pruned ladders, and on EXAMPLES."""
     test = given(st.one_of(circuits(), ladders(), pruned_ladders()))(test)
-    for c in [*STACK_ORDERS, Circuit(2, (Cnot(1, 2), Rot(AXIS_Y, 2, 0.25), Rot(AXIS_Y, 2, -0.25),
-              Cnot(1, 2), Rot(AXIS_Z, 1, -0.0), Rot(AXIS_Z, 1, 0.0), Rot(AXIS_Y, 1, 0.5)))]:
+    for c in EXAMPLES:
         test = example(c)(test)
     return settings(deadline=None)(test)
 
