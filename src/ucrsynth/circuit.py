@@ -381,22 +381,10 @@ def simplify(c: Circuit, *, prune_atol: float | None = None) -> Circuit:
     else:  # the largest float <= prune_atol, which every float compares with alike
         atol = float(min(prune_atol, sys.float_info.max))
         atol = math.nextafter(atol, 0.0) if atol > prune_atol else atol
-    # one integer per key, negative for rotations: a CNOT row has control
-    # > 0 and axis 0, a rotation row control 0, so control - axis and the
-    # target tell keys apart; int32 holds it for all but huge n or axes
-    span = min(c.n, 2**31 - 1) + 1
-    slot = c.control - c.axis
-    if (max(c.n, len(c.axes)) + 1) * span >= 2**31:
-        slot = slot.astype(np.int64)
-    key = slot * span - c.target
-    if prune_atol is None:
-        tiny = np.zeros(len(c), dtype=bool)
-    else:
-        tiny = (key < 0) & (np.abs(c.angle) <= atol)
-    same = key[1:] == key[:-1]
     control, target, axis, angle = c.control, c.target, c.axis, c.angle
-    if tiny.any() or same.any():  # else no row reduces or is dropped
-        rows, merged = _stack_pass(key, angle, tiny, same, atol)
+    reduced = _stack_pass(c, atol)
+    if reduced is not None:
+        rows, merged = reduced
         control, target, axis, angle = control[rows], target[rows], axis[rows], angle[rows]
         angle[np.searchsorted(rows, list(merged))] = list(merged.values())
     out = Circuit._from_columns(c.n, control, target, axis, c.axes, angle)
@@ -408,19 +396,39 @@ def simplify(c: Circuit, *, prune_atol: float | None = None) -> Circuit:
     return out
 
 
-def _stack_pass(key, angle, tiny, same, atol) -> tuple[np.ndarray, dict[int, float]]:
-    """simplify's stack rule on rows with these keys and angles: the rows
+def _stack_pass(c: Circuit, atol: float) -> tuple[np.ndarray, dict[int, float]] | None:
+    """simplify's stack rule on the rows of c, pruning rotations within atol
+    (none if atol < 0): None if no row reduces or is dropped, else the rows
     that stay, in order, and the angle of each merged one by row."""
+    # one integer per key, negative for rotations: a CNOT row has control
+    # > 0 and axis 0, a rotation row control 0, so control - axis and the
+    # target tell keys apart; int32 holds it for all but huge n or axes
+    span = min(c.n, 2**31 - 1) + 1
+    key, angle = c.control - c.axis, c.angle
+    if (max(c.n, len(c.axes)) + 1) * span >= 2**31:
+        key = key.astype(np.int64)
+    key *= span
+    key -= c.target
+    if atol < 0:
+        tiny = np.zeros(len(c), dtype=bool)
+    else:
+        tiny = (key < 0) & (np.abs(angle) <= atol)
+    same = key[1:] == key[:-1]
+    if not (tiny.any() or same.any()):
+        return None
     # a rotation within atol after a row outside it with another key is
     # lone: it meets that row on the top unless that row left the stack
     lone = tiny.copy()
     lone[1:] &= ~(tiny[:-1] | same)
     lone[:1] = False
-    keep = np.flatnonzero(~lone)  # the rows the rule visits, in order
-    before_lone = np.append(lone[1:], False)[keep]
-    row_key, key = key, key[keep]
-    hot = tiny[keep]
-    hot[1:] |= key[1:] == key[:-1]
+    row_key, before_lone = key, np.append(lone[1:], False)
+    keep = np.arange(key.size)  # the rows the rule visits, in order
+    if lone.any():
+        keep = np.flatnonzero(~lone)
+        key, tiny, before_lone = key[keep], tiny[keep], before_lone[keep]
+        same = key[1:] == key[:-1]
+    hot = tiny.copy()
+    hot[1:] |= same
     hot = [*np.flatnonzero(hot).tolist(), keep.size]
 
     # the stack: ranges [start, end) of positions in keep, and the angles
@@ -472,8 +480,8 @@ def _stack_pass(key, angle, tiny, same, atol) -> tuple[np.ndarray, dict[int, flo
         push(first, hot[h])  # row j, unless merged, and the stretch after it
         j = hot[h]
 
-    starts, ends = np.array(starts, dtype=np.intp), np.array(ends, dtype=np.intp)
-    lengths = ends - starts
-    position = np.arange(lengths.sum())
-    position += np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    return keep[position], {keep.item(p): a for p, a in merged.items()}
+    # the ranges and the gaps around them, as alternating runs of one mask
+    edges = np.array([starts, ends], dtype=np.intp).ravel(order="F")
+    runs = np.diff(edges, prepend=0, append=keep.size)
+    stay = np.repeat(np.arange(runs.size) % 2 == 1, runs)
+    return keep[stay], {keep.item(p): a for p, a in merged.items()}

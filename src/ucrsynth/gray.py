@@ -4,7 +4,9 @@ A uniformly controlled rotation with block angles ``alpha`` lowers to a
 CNOT ladder whose rotation angles ``theta`` satisfy ``theta = M alpha``
 with ``M[i, j] = 2**-k * (-1)**(popcount(j & gray(i)))``. The sign matrix
 ``S = 2**k * M`` is orthogonal up to scale (``S @ S.T = 2**k * I``), so the
-inverse transform is simply ``2**k * M.T``.
+inverse transform is simply ``2**k * M.T``. ``alpha_to_theta`` is the one
+place ladder angles come from: ``lower_ucr`` and the synthesis compiler
+both call it.
 
 Both directions, and the simulator's phase tables (one stack of runs per
 control count), go through one unnormalized Walsh-Hadamard transform,
@@ -100,19 +102,6 @@ def gray_permutation(k: int) -> np.ndarray:
     return codes
 
 
-@functools.cache
-def _gray_rank(k: int) -> np.ndarray:
-    """Inverse of gray_permutation(k), r[gray(i)] = i; cached and read-only.
-
-    Assigning ``theta[_gray_rank(k)] = spectrum`` reads the spectrum out in
-    Gray order, so a ladder's angles land with one scatter.
-    """
-    rank = np.empty(1 << k, dtype=np.intp)
-    rank[gray_permutation(k)] = np.arange(1 << k, dtype=np.intp)
-    rank.flags.writeable = False
-    return rank
-
-
 def alpha_to_theta(alpha: np.ndarray) -> np.ndarray:
     """Fast O(k 2**k) transform: Walsh-Hadamard transform + Gray reorder.
 
@@ -121,8 +110,9 @@ def alpha_to_theta(alpha: np.ndarray) -> np.ndarray:
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     k = _check_power_of_two(alpha)
-    spectrum = _fwht(alpha)
-    return spectrum[gray_permutation(k)] / (1 << k)
+    theta = _fwht(alpha)[gray_permutation(k)]
+    theta /= 1 << k
+    return theta
 
 
 def theta_to_alpha(theta: np.ndarray) -> np.ndarray:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import AngleSchedule, angle_schedule, sweep
-from .circuit import AXIS_Y, AXIS_Z, Axis, Circuit, gate_counts, ladder_controls
+from .circuit import AXIS_Y, AXIS_Z, Axis, Circuit, _stack_pass, gate_counts, ladder_controls
 from .errors import DimensionError
-from .gray import _fwht, _gray_rank
+from .gray import alpha_to_theta
 from .state import StateVector, check_basis_index, check_qubit_count, phases, wrap_angle
 
 __all__ = [
@@ -108,11 +108,12 @@ SKELETON_CACHE_SIZE = 8
 
 @functools.lru_cache(maxsize=SKELETON_CACHE_SIZE)
 def _skeleton(layout: tuple[tuple[int, Axis], ...]) -> tuple[Circuit, tuple[tuple[int, bool], ...]]:
-    """Lay every UCR's ladder out in turn and apply the seam rule (see _compile).
+    """simplify's fixpoint of every UCR's ladder laid out in turn, at zero angles.
 
-    ``layout`` holds (target, axis) per UCR. Returns the circuit at zero
-    angles (read-only columns, a zero-stride angle column) and per UCR the
-    row of its ladder's first rotation and whether that merged backwards.
+    ``layout`` holds (target, axis) per UCR. Returns the circuit (read-only
+    columns, a zero-stride angle column) and per UCR the row of its
+    ladder's first rotation and whether that merged backwards, into the
+    row given.
     """
     columns = [
         ladder_controls(tuple(range(1, t)), mirrored=index % 2 == 1)
@@ -121,29 +122,29 @@ def _skeleton(layout: tuple[tuple[int, Axis], ...]) -> tuple[Circuit, tuple[tupl
     base = np.zeros((3, sum(ladder.size for ladder in columns)), dtype=np.int32)
     control, target, axis = base
     axes: dict[Axis, int] = {}
-    rows = []
-    end = 0  # rows written so far
+    first = []  # row of each ladder's first rotation
+    end = 0
     for index, ((t, ax), ladder) in enumerate(zip(layout, columns)):
-        a = axes.setdefault(ax, len(axes))
-        head = ladder[0], t, 0 if ladder[0] else a
-        skip = end > 0 and (control[end - 1], target[end - 1], axis[end - 1]) == head
-        merged = skip and not head[0]
-        if skip and head[0]:
-            end -= 1  # identical CNOTs cancel
-        size = ladder.size - skip
-        control[end : end + size] = ladder[skip:]
+        size = ladder.size
+        control[end : end + size] = ladder
         target[end : end + size] = t
-        axis[end : end + size] = (ladder[skip:] == 0) * a
-        # ladder row r sits at output row end - skip + r; a mirrored ladder
-        # of more than one row opens with a CNOT
-        rows.append((end - skip + (index % 2 == 1 and ladder.size > 1), merged))
+        axis[end : end + size] = (ladder == 0) * axes.setdefault(ax, len(axes))
+        # a mirrored ladder of more than one row opens with a CNOT
+        first.append(end + (index % 2 == 1 and size > 1))
         end += size
     n, zero = max(t for t, _ in layout), np.broadcast_to(0.0, end)
-    return Circuit._from_columns(n, *base[:, :end], tuple(axes), zero), tuple(rows)
+    joined = Circuit._from_columns(n, control, target, axis, tuple(axes), zero)
+    rows, _ = _stack_pass(joined, -1.0) or (np.arange(end), {})
+    # a rotation that merged left no row: the last row kept before it is
+    # the one it merged into
+    row = np.searchsorted(rows, first, side="right") - 1
+    merged = rows[row] != first
+    skeleton = Circuit._from_columns(n, *base.take(rows, axis=1), tuple(axes), zero[: rows.size])
+    return skeleton, tuple(zip(row.tolist(), merged.tolist()))
 
 
 def _compile(levels: list[Level], residual: float) -> SynthesisResult:
-    """Lower a list of UCR pairs to one circuit and cancel at the seams.
+    """Lower a list of UCR pairs to one circuit, simplified.
 
     Consecutive UCRs 2m, 2m + 1 form a pair on one target and controls:
     (z, y) in a cascade, (y, z) in an inverse cascade. The second member
@@ -151,34 +152,25 @@ def _compile(levels: list[Level], residual: float) -> SynthesisResult:
     CNOT faces the first member's closing twin and cancels; this is the
     only pairing that cancels, and it realizes the headline CNOT count.
 
-    Ladders alternate rotations and CNOTs, so only the two gates facing
-    each other across a seam can reduce: identical CNOTs cancel, rotations
-    with one target and axis merge by angle addition. What either exposes
-    is a pair of rotations about different axes (the z and y members of a
-    pair), so nothing reduces further and the result equals simplify's
-    fixpoint of the joined ladders.
-
-    None of this depends on the angles, so the gate columns are built once
-    per UCR layout and cached; a call only computes each ladder's rotation
-    angles and writes them into a fresh angle column.
-
-    A ladder's rotations sit on every other row from ``row``, in Gray order
-    (reversed when mirrored): its i-th rotation is entry gray(i) of the
-    block angles' Walsh-Hadamard spectrum, divided by 2**k (theta = M alpha),
-    so one scatter through the inverse Gray table places them all. Only a
-    ladder that opens a pair merges, and its first rotation is entry 0.
+    Which rows simplify cancels or merges does not depend on the angles,
+    so the skeleton is built once per UCR layout and cached; a call only
+    computes each ladder's rotation angles, alpha_to_theta of its block
+    angles (reversed when mirrored), and writes them into a fresh angle
+    column. A ladder's CNOTs keep its rotations apart, so they stay on
+    every other row from its first; only the first can meet another
+    ladder's row, and if it merged its angle is added to that row's, as
+    simplify adds them.
     """
     skeleton, ladders = _skeleton(tuple((t, axis) for t, axis, _ in levels))
     angle = np.zeros(len(skeleton))
     for index, ((_, _, alpha), (row, merged)) in enumerate(zip(levels, ladders)):
-        spectrum = _fwht(alpha)
-        spectrum *= 1.0 / alpha.size
-        rotations = angle[row : row + 2 * alpha.size : 2]
+        theta = alpha_to_theta(alpha)
         if index % 2:
-            rotations = rotations[::-1]
+            theta = theta[::-1]
+        rotations = angle[row : row + 2 * alpha.size : 2]
         if merged:
-            spectrum[0] += rotations[0]
-        rotations[_gray_rank(alpha.size.bit_length() - 1)] = spectrum
+            theta[0] += rotations[0]
+        rotations[:] = theta
     circuit = Circuit._from_columns(
         skeleton.n, skeleton.control, skeleton.target, skeleton.axis, skeleton.axes, angle
     )

@@ -13,7 +13,7 @@ from ucrsynth import (
     sign_matrix,
     theta_to_alpha,
 )
-from ucrsynth.gray import _fwht, _gray_rank
+from ucrsynth.gray import _fwht
 
 
 def test_gray_first_values():
@@ -42,12 +42,6 @@ def test_gray_permutation_is_one_cached_read_only_array():
         assert gray_permutation(k) is perm
         with pytest.raises(ValueError, match="read-only"):
             perm[0] = 1
-        assert not _gray_rank(k).flags.writeable
-
-
-def test_gray_rank_inverts_gray_permutation():
-    for k in range(0, 13):
-        assert np.array_equal(_gray_rank(k)[gray_permutation(k)], np.arange(1 << k))
 
 
 def test_sign_matrix_small():
