@@ -454,14 +454,6 @@ def _stack_pass(c: Circuit, atol: float) -> tuple[np.ndarray, dict[int, float]] 
             del starts[-1], ends[-1]
         return False
 
-    def push(lo: int, hi: int) -> None:
-        """Push positions lo..hi - 1, joining the top range if it ends at lo."""
-        if lo < hi and ends and ends[-1] == lo:
-            ends[-1] = hi
-        elif lo < hi:
-            starts.append(lo)
-            ends.append(hi)
-
     j = h = 0
     while j < keep.size:
         r = keep.item(j)
@@ -477,7 +469,9 @@ def _stack_pass(c: Circuit, atol: float) -> tuple[np.ndarray, dict[int, float]] 
             continue
         while hot[h] <= j:
             h += 1
-        push(first, hot[h])  # row j, unless merged, and the stretch after it
+        if first < hot[h]:  # push row j, unless merged, and the stretch after it
+            starts.append(first)
+            ends.append(hot[h])
         j = hot[h]
 
     # the ranges and the gaps around them, as alternating runs of one mask

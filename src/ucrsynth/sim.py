@@ -13,9 +13,8 @@ Walsh-Hadamard transform of the run's rotation angles bucketed by the
 CNOT-control mask in force at each rotation, and s(p) is the parity of p
 against the mask at the end of the run: the UCR ladder identity read
 backwards. The masks hold each control at its bit of the amplitude
-index. When the controls are consecutive qubits, as in every synthesized
-ladder, a rotation's bucket is then one shift of its mask; other control
-sets gather the bits one by one.
+index, and a rotation's bucket gathers the run's control bits of its mask
+one by one.
 
 X**s(p) is folded into the next run when that run has the same target and
 its controls cover the closing mask: the next run buckets its rotations
@@ -29,10 +28,10 @@ closes with swaps. A mask that is left is one CNOT swap per control.
 A run with rotations whose target has more index bits above it than below
 runs on a bit-reversed copy of the amplitudes, qubit q on axis n - q,
 where its controls are the low, contiguous bits and numpy's inner loops
-are long. Its phase table lists the controls in reversed order, so that
-it too reshapes straight onto the control axes. A layout switch is one
-transposed copy into one spare buffer; a ``prepare`` circuit switches
-four times.
+are long. Its rotations gather their control bits in reversed order, so
+that its phase table too reshapes straight onto the control axes. A
+layout switch is one transposed copy into one spare buffer; a ``prepare``
+circuit switches four times.
 
 Only the angles change between results of one gate layout, so a pass has
 two steps. ``_run_plan`` reads the control, target and axis columns and
@@ -52,7 +51,6 @@ oracle the fused pass is tested against.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from numbers import Integral
 from typing import NamedTuple
@@ -95,14 +93,6 @@ def _cnot(amps: np.ndarray, c_pos: int, t_pos: int) -> None:
     saved = clear.copy()
     clear[...] = view[:, 1, :, 1]
     view[:, 1, :, 1] = saved
-
-
-@functools.cache
-def _bit_reversal(k: int) -> np.ndarray:
-    """r[p] = p with its k bits in reverse order; cached and read-only."""
-    r = np.arange(1 << k).reshape((2,) * k).T.reshape(-1)
-    r.flags.writeable = False
-    return r
 
 
 class _Run(NamedTuple):
@@ -190,20 +180,15 @@ def _run_plan(c: Circuit, n_bits: int) -> _Plan:
         if start == end:
             runs.append(_Run(flipped, t_axis, None, None, (), swaps))
             continue
-        # bit i of a pattern is control bits_j[i], so the (2,) * k phase table
-        # lists the controls from the highest index bit down, as the normal
-        # layout's axes do; the bit-reversed layout's axes run the other way
+        # a rotation's slot is the run's first slot plus its control bits,
+        # gathered from the layout's lowest index bit up, so the (2,) * k
+        # table reshapes straight onto the control axes; on the bit-reversed
+        # layout that is the controls in reversed order
         m = masks[start:end] ^ base
-        lo = bits_j[0] if bits_j else 0
-        if used[j] >> lo == (1 << k[j]) - 1:  # consecutive qubits: every ladder
-            pattern = (m >> lo) & ((1 << k[j]) - 1)
-        else:
-            pattern = np.zeros(m.size, dtype=np.int64)
-            for i, b in enumerate(bits_j):
-                pattern |= ((m >> b) & 1) << i
-        if flipped:
-            pattern = _bit_reversal(k[j])[pattern]
-        bucket[start:end] = pattern + first[j]
+        slot = np.full(m.size, first[j], dtype=np.int64)
+        for i, b in enumerate(reversed(bits_j) if flipped else bits_j):
+            slot += ((m >> b) & 1) << i
+        bucket[start:end] = slot
         # the target axis drops out of the pair views
         shape = [1] * (n_bits - 1)
         for ax in axes:

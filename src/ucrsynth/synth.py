@@ -124,13 +124,12 @@ def _skeleton(layout: tuple[tuple[int, Axis], ...]) -> tuple[Circuit, tuple[tupl
     axes: dict[Axis, int] = {}
     first = []  # row of each ladder's first rotation
     end = 0
-    for index, ((t, ax), ladder) in enumerate(zip(layout, columns)):
+    for (t, ax), ladder in zip(layout, columns):
         size = ladder.size
         control[end : end + size] = ladder
         target[end : end + size] = t
         axis[end : end + size] = (ladder == 0) * axes.setdefault(ax, len(axes))
-        # a mirrored ladder of more than one row opens with a CNOT
-        first.append(end + (index % 2 == 1 and size > 1))
+        first.append(end + int(ladder[0] != 0))
         end += size
     n, zero = max(t for t, _ in layout), np.broadcast_to(0.0, end)
     joined = Circuit._from_columns(n, control, target, axis, tuple(axes), zero)

@@ -463,6 +463,8 @@ def test_equality_is_gate_tuple_equality():
     assert y0 == y1 and hash(y0) == hash(y1)
     assert y0 != Circuit(1, (Rot(AXIS_Z, 1, 0.0),))
     assert y0 != Circuit(2, (Rot(AXIS_Y, 1, 0.0),))
+    # another type is left to Python's fallback, which compares identity
+    assert y0.__eq__(y0.gates) is NotImplemented and y0 != y0.gates
     # the axis ids of a reversed circuit differ from a rebuilt one's
     mixed = Circuit(2, (Rot(AXIS_Y, 1, 0.3), Cnot(1, 2), Rot(AXIS_Z, 2, 0.1)))
     reversed_ = dagger(mixed)

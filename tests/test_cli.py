@@ -412,6 +412,16 @@ def test_bench_json_record_that_is_a_directory_exits_4(tmp_path, capsys):
     assert line.startswith(f"error: {tmp_path}: ")
 
 
+def test_bench_json_record_that_is_not_json_exits_2(tmp_path, capsys):
+    # malformed JSON is a parse error (2), and the record is left as it was
+    path = tmp_path / "record.json"
+    path.write_text("runs: []\n")
+    assert main(["bench", "--n-max", "1", "--json", str(path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}: ")
+    assert path.read_text() == "runs: []\n"
+
+
 def usage_error(argv, capsys) -> str:
     """stderr of an argparse usage error (exit 2) raised by main(argv)."""
     with pytest.raises(SystemExit) as e:
