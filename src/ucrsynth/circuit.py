@@ -351,35 +351,28 @@ def dagger(c: Circuit) -> Circuit:
 def simplify(c: Circuit, *, prune_atol: float | None = None) -> Circuit:
     """Peephole simplification to fixpoint, preserving the circuit unitary.
 
-    The rule is a stack pass over the rows in time order. A row reduces
-    with the stack top iff their (control, target, axis) keys agree, as
-    CNOT rows carry axis 0: identical CNOTs cancel, and rotations about one
-    axis on one target merge by angle addition, left to right. A rotation
-    with |angle| <= prune_atol is dropped on arrival unless it merges, and
-    a merge that lands there pops both rows, exposing the row below; None
-    (the default) prunes nothing, so generic counts keep their closed-form
-    values. No two adjacent stack rows share a key, so one pass reaches
-    the fixpoint.
+    The rule has two steps. First every rotation with |angle| <= prune_atol
+    is dropped; None (the default) prunes nothing, so generic counts keep
+    their closed-form values. Then a stack pass runs over the rows that are
+    left, in time order: a row reduces with the stack top iff their
+    (control, target, axis) keys agree, as CNOT rows carry axis 0.
+    Identical CNOTs cancel, and rotations about one axis on one target
+    merge by angle addition, left to right; a merge that lands within
+    prune_atol pops both rows, exposing the row below. No two adjacent
+    stack rows share a key, so one pass reaches the fixpoint.
 
-    The pass applies the rule only to rows that can meet a top with their
-    own key. A row is hot if its key equals the previous row's, or if it
-    is a rotation within prune_atol. Once a row stays on the stack, pushed
-    or merged, the top holds its key; the next row, if not hot, has another
-    key, so it is pushed as it is and holds the top in turn. So every
-    stretch of rows up to the next hot one is pushed whole, as one range,
-    and only hot rows and the row after one that left the stack meet the
-    top. A rotation within prune_atol after a row outside it with another
-    key meets that row on the top and is dropped, so it is taken out before
-    neighbouring keys are compared, and meets the top only when that row
-    left the stack. The output is one gather of the rows that stay, with
-    the merged angles written over theirs.
+    Each rotation dropped or popped moves the unitary by at most
+    prune_atol/2 in operator norm, since |R(a) - I| = 2|sin(a/4)| <= |a|/2.
     """
     if prune_atol is not None and not (_instances([prune_atol], Real) and 0 <= prune_atol < math.inf):
         raise ValueError(f"prune_atol must be a finite number >= 0, got {prune_atol!r}")
     if prune_atol is None:
         atol = -1.0
     else:  # the largest float <= prune_atol, which every float compares with alike
-        atol = float(min(prune_atol, sys.float_info.max))
+        try:
+            atol = float(prune_atol)
+        except OverflowError:  # an int or Fraction beyond the float range
+            atol = sys.float_info.max
         atol = math.nextafter(atol, 0.0) if atol > prune_atol else atol
     control, target, axis, angle = c.control, c.target, c.axis, c.angle
     reduced = _stack_pass(c, atol)
@@ -397,76 +390,61 @@ def simplify(c: Circuit, *, prune_atol: float | None = None) -> Circuit:
 
 
 def _stack_pass(c: Circuit, atol: float) -> tuple[np.ndarray, dict[int, float]] | None:
-    """simplify's stack rule on the rows of c, pruning rotations within atol
+    """simplify's rule on the rows of c, pruning rotations within atol
     (none if atol < 0): None if no row reduces or is dropped, else the rows
-    that stay, in order, and the angle of each merged one by row."""
+    that stay, in order, and the angle of each merged one by row.
+
+    The tiny rotations go out with one mask. Of the rows left, only one
+    whose key repeats the previous row's, or that follows a row that left
+    the stack, can find its own key on the top: once a row stays, pushed
+    or merged, the top holds its key, and the next row, unless its key is
+    the same, is pushed as it is and holds the top in turn. So every
+    stretch up to the next such row is pushed whole, as one range.
+    """
     # one integer per key, negative for rotations: a CNOT row has control
     # > 0 and axis 0, a rotation row control 0, so control - axis and the
     # target tell keys apart; int32 holds it for all but huge n or axes
     span = min(c.n, 2**31 - 1) + 1
-    key, angle = c.control - c.axis, c.angle
+    key = c.control - c.axis
     if (max(c.n, len(c.axes)) + 1) * span >= 2**31:
         key = key.astype(np.int64)
     key *= span
     key -= c.target
-    if atol < 0:
-        tiny = np.zeros(len(c), dtype=bool)
-    else:
-        tiny = (key < 0) & (np.abs(angle) <= atol)
-    same = key[1:] == key[:-1]
-    if not (tiny.any() or same.any()):
-        return None
-    # a rotation within atol after a row outside it with another key is
-    # lone: it meets that row on the top unless that row left the stack
-    lone = tiny.copy()
-    lone[1:] &= ~(tiny[:-1] | same)
-    lone[:1] = False
-    row_key, before_lone = key, np.append(lone[1:], False)
-    keep = np.arange(key.size)  # the rows the rule visits, in order
-    if lone.any():
-        keep = np.flatnonzero(~lone)
-        key, tiny, before_lone = key[keep], tiny[keep], before_lone[keep]
-        same = key[1:] == key[:-1]
-    hot = tiny.copy()
-    hot[1:] |= same
-    hot = [*np.flatnonzero(hot).tolist(), keep.size]
+    keep, angle = None, c.angle
+    if atol >= 0:  # two bool masks, not a float temporary of every row
+        tiny = (key < 0) & (-atol <= angle) & (angle <= atol)
+        if tiny.any():
+            keep = np.flatnonzero(~tiny)
+            key = key[keep]
+    hot = key[1:] == key[:-1]
+    if keep is None:
+        if not hot.any():
+            return None
+        keep = np.arange(key.size)
+    hot = [*(np.flatnonzero(hot) + 1).tolist(), keep.size]
 
     # the stack: ranges [start, end) of positions in keep, and the angles
     # of merged rows on it by position
     starts: list[int] = []
     ends: list[int] = []
     merged: dict[int, float] = {}
-
-    def meet(k: int, a: float) -> bool | None:
-        """Reduce a row of key k and angle a with the top: None if the top
-        has another key, else whether the row stays, merged into the top."""
-        if not ends or key.item(ends[-1] - 1) != k:
-            return None
-        top = ends[-1] - 1
-        if k < 0:
-            a += merged.get(top, angle.item(keep.item(top)))
-            if not abs(a) <= atol:
-                merged[top] = a
-                return True
-            merged.pop(top, None)
-        ends[-1] = top
-        if top == starts[-1]:
-            del starts[-1], ends[-1]
-        return False
-
     j = h = 0
     while j < keep.size:
-        r = keep.item(j)
-        k, a = key.item(j), angle.item(r)
-        stays = meet(k, a)
-        first = j if stays is None else j + 1  # the first row still to push
-        if stays is None:
-            stays = k > 0 or not abs(a) <= atol
-        if not stays:
-            if before_lone.item(j):
-                meet(row_key.item(r + 1), angle.item(r + 1))
-            j += 1
-            continue
+        k = key.item(j)
+        first = j  # the first row still to push
+        if ends and key.item(ends[-1] - 1) == k:  # row j reduces with the top
+            top = ends[-1] - 1
+            if k < 0:  # rotations merge, unless the sum is within atol
+                a = merged.pop(top, angle.item(keep.item(top))) + angle.item(keep.item(j))
+                if not abs(a) <= atol:
+                    merged[top] = a
+                    first = j + 1
+            if first == j:  # both rows leave; the next one faces the new top
+                ends[-1] = top
+                if top == starts[-1]:
+                    del starts[-1], ends[-1]
+                j += 1
+                continue
         while hot[h] <= j:
             h += 1
         if first < hot[h]:  # push row j, unless merged, and the stretch after it

@@ -2,6 +2,8 @@ import functools
 import itertools
 import math
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,16 +233,17 @@ def simplify_gates(c: Circuit, *, prune_atol: float = 0.0, prune: bool = False) 
     """Oracle for ``simplify``: the same peephole rules over gate objects.
 
     This is the gate-object pass ``simplify`` was before it moved onto the
-    columns, kept unchanged (with its old ``prune`` flag) as an independent
-    reference: ``simplify(c)`` must equal ``simplify_gates(c)``, and
+    columns, with its old ``prune`` flag, kept as an independent reference:
+    ``simplify(c)`` must equal ``simplify_gates(c)``, and
     ``simplify(c, prune_atol=x)`` must equal
     ``simplify_gates(c, prune_atol=x, prune=True)``.
 
     Rules, applied to consecutive gates in the list: adjacent identical
     CNOTs cancel; adjacent rotations with the same axis and target merge by
-    angle addition. Rotations with |angle| <= prune_atol are dropped only
-    when ``prune`` is set; pruning is off by default so gate counts stay at
-    the generic closed-form values (a merge to angle 0 keeps its gate).
+    angle addition. Only when ``prune`` is set, a rotation with |angle| <=
+    prune_atol is dropped before it can merge, and a merge that lands there
+    is dropped too; pruning is off by default so gate counts stay at the
+    generic closed-form values (a merge to angle 0 keeps its gate).
 
     One stack pass reaches the fixpoint: every reduction re-exposes the
     previous gate, which is re-checked before anything new is pushed, so
@@ -257,12 +260,13 @@ def simplify_gates(c: Circuit, *, prune_atol: float = 0.0, prune: bool = False) 
                     out.pop()
                     reduced = None
                 break
+            if atol is not None and abs(reduced.angle) <= atol:
+                reduced = None
+                break
             if isinstance(top, Rot) and top.axis == reduced.axis and top.target == reduced.target:
                 out.pop()
                 reduced = Rot(reduced.axis, reduced.target, top.angle + reduced.angle)
                 continue
-            if atol is not None and abs(reduced.angle) <= atol:
-                reduced = None
             break
         if reduced is not None:
             out.append(reduced)
@@ -312,6 +316,21 @@ def test_simplify_has_one_prune_keyword():
     for atol in (math.nan, -1.0, "1", math.inf):
         with pytest.raises(ValueError, match="prune_atol must be a finite number >= 0, got"):
             simplify(c, prune_atol=atol)
+    # the threshold is the largest float <= prune_atol, however it is typed;
+    # a narrow numpy float used to be compared with the float max in its own
+    # dtype, which overflowed
+    for atol, edge in (
+        (Fraction(1, 10), math.nextafter(0.1, 0.0)),
+        (np.float16(0.1), float(np.float16(0.1))),
+        (np.float32(0.1), float(np.float32(0.1))),
+        (np.float64(0.1), 0.1),
+        (10**400, sys.float_info.max),
+        (Fraction(10**400, 3), sys.float_info.max),
+    ):
+        above = math.nextafter(edge, math.inf)
+        kept = (Rot(AXIS_Y, 1, above),) if math.isfinite(above) else ()
+        c = Circuit(1, (Rot(AXIS_Y, 1, edge), Rot(AXIS_Z, 1, -edge), *kept))
+        assert simplify(c, prune_atol=atol).gates == kept
 
 
 def test_simplify_rejects_a_merge_beyond_the_float_range():

@@ -277,14 +277,6 @@ def angle_bits(c):
     return [g.angle.hex() for g in c.gates if isinstance(g, Rot)]
 
 
-@settings(deadline=None)
-@given(circuits(max_n=4))
-@example(Circuit(2, (Cnot(1, 2), Rot(AXIS_Z, 2, 1.0), Rot(AXIS_Z, 2, -1.0), Cnot(1, 2))))
-def test_simplify_preserves_unitary(c):
-    u = circuit_unitary(c)
-    assert np.abs(circuit_unitary(simplify(c)) - u).max() <= 1e-12
-
-
 @st.composite
 def ladders(draw, max_n=7, max_ucrs=4):
     """Concatenated lower_ucr ladders of random UCRs, some cut short.
@@ -319,9 +311,9 @@ PRUNED = st.sampled_from([0.0, -0.0, 1e-13, -1e-13])
 
 
 @st.composite
-def pruned_ladders(draw):
+def pruned_ladders(draw, max_n=7):
     """ladders() with some rotation angles replaced from PRUNED."""
-    c = draw(ladders())
+    c = draw(ladders(max_n))
     angle = c.angle.copy()
     rotations = np.flatnonzero(c.control == 0).tolist()
     for r in draw(st.sets(st.sampled_from(rotations))) if rotations else ():
@@ -330,12 +322,15 @@ def pruned_ladders(draw):
 
 
 PRUNE_ATOLS = (None, 0.0, 1e-12, 0.5)
-# each pins an order of the stack pass: the tiny rotation merges into the
-# first one once the CNOTs between them cancel, rather than being pruned;
-# of three identical CNOTs one stays; the y pair merges to 0, which exposes
-# the z rotation for the last one to merge into; the CNOTs after the pruned
-# or merged y rotations cancel with the ones before them, the second with
-# what the first exposed; zeros of both signs merge
+# each pins an order of the stack pass, whose rotations within the
+# threshold are dropped before the stack rule runs: the tiny rotation stays
+# out of the first one even once the CNOTs between them cancel; of three
+# identical CNOTs one stays; the y pair merges to 0, which exposes the z
+# rotation for the last one to merge into; the CNOTs after the pruned or
+# merged y rotations cancel with the ones before them, the second with what
+# the first exposed; the rotations around a tiny one merge without it; at
+# 0.5 the -0.2 is dropped, not merged into a 0.4 that would pop both; zeros
+# of both signs merge
 STACK_ORDERS = [
     Circuit(2, (Rot(AXIS_Y, 2, 0.7), Cnot(1, 2), Cnot(1, 2), Rot(AXIS_Y, 2, 1e-13))),
     Circuit(2, (Cnot(1, 2), Cnot(1, 2), Cnot(1, 2))),
@@ -343,6 +338,8 @@ STACK_ORDERS = [
     Circuit(3, (Cnot(1, 3), Cnot(2, 3), Rot(AXIS_Y, 3, 1e-13), Cnot(2, 3), Cnot(1, 3))),
     Circuit(3, (Cnot(1, 3), Cnot(2, 3), Rot(AXIS_Y, 3, 0.5), Rot(AXIS_Y, 3, -0.5),
                 Cnot(2, 3), Cnot(1, 3), Rot(AXIS_Y, 3, 0.25))),
+    Circuit(1, (Rot(AXIS_Y, 1, 0.3), Rot(AXIS_Y, 1, 1e-13), Rot(AXIS_Y, 1, 0.2))),
+    Circuit(1, (Rot(AXIS_Y, 1, 0.6), Rot(AXIS_Y, 1, -0.2))),
     Circuit(1, (Rot(AXIS_Y, 1, -0.0), Rot(AXIS_Y, 1, -0.0), Rot(AXIS_Z, 1, -0.0), Rot(AXIS_Z, 1, 0.0))),
 ]
 
@@ -386,6 +383,26 @@ def test_simplify_is_idempotent(c):
 
 
 @settings(deadline=None)
+@given(st.one_of(circuits(max_n=4), pruned_ladders(max_n=4)))
+@example(Circuit(2, (Cnot(1, 2), Rot(AXIS_Z, 2, 1.0), Rot(AXIS_Z, 2, -1.0), Cnot(1, 2))))
+def test_simplify_preserves_unitary(c):
+    u = circuit_unitary(c)
+    rotations = np.count_nonzero(c.control == 0)
+    for atol in PRUNE_ATOLS:
+        out = simplify(c, prune_atol=atol)
+        x = atol or 0.0
+        rot = out.control == 0
+        if atol is not None:
+            assert not (np.abs(out.angle[rot]) <= x).any()
+        key = np.stack([out.control, out.target, out.axis], axis=1)
+        assert not (key[1:] == key[:-1]).all(axis=1).any()
+        # each rotation dropped, or popped with the one it merged into,
+        # moves the unitary by at most x/2 in operator norm
+        removed = rotations - np.count_nonzero(rot)
+        assert np.abs(circuit_unitary(out) - u).max() <= removed * x / 2 + 1e-12
+
+
+@settings(deadline=None)
 @given(st.one_of(circuits(), pruned_ladders()), st.integers(0, 2**32 - 1))
 @example(Circuit(1, (Rot(AXIS_Y, 1, -0.0), Rot(AXIS_Z, 1, 0.0))), 3)  # axes swapped
 def test_equal_circuits_hash_alike(c, seed):
@@ -409,14 +426,17 @@ def test_equal_circuits_hash_alike(c, seed):
 def test_stack_orders_pinned():
     # what the stack pass gives on STACK_ORDERS at prune_atol 1e-12
     expect = [
-        (Rot(AXIS_Y, 2, 0.7 + 1e-13),),
+        (Rot(AXIS_Y, 2, 0.7),),
         (Cnot(1, 2),),
         (Rot(AXIS_Z, 1, 0.4 + 0.1),),
         (),
         (Rot(AXIS_Y, 3, 0.25),),
+        (Rot(AXIS_Y, 1, 0.3 + 0.2),),
+        (Rot(AXIS_Y, 1, 0.6 + -0.2),),
         (),
     ]
     assert [simplify(c, prune_atol=1e-12).gates for c in STACK_ORDERS] == expect
+    assert simplify(STACK_ORDERS[6], prune_atol=0.5).gates == (Rot(AXIS_Y, 1, 0.6),)
     assert angle_bits(simplify(STACK_ORDERS[-1])) == [(-0.0).hex(), 0.0.hex()]
 
 
