@@ -267,6 +267,9 @@ _CHUNK = 4096
 def _column(values, dtype, overflow: str = "") -> np.ndarray:
     """Read-only column whose owning array is read-only too; an integer from
     outside the package that the dtype cannot hold raises ValueError(overflow)."""
+    wrap = dtype is np.int32 and getattr(values, "dtype", dtype) != dtype  # a cast would wrap
+    if wrap and ((values < -(2**31)) | (values >= 2**31)).any():
+        raise ValueError(overflow)
     try:
         out = np.asarray(values, dtype=dtype)
     except OverflowError:
@@ -290,20 +293,19 @@ def lower_ucr(g: UcrGate, n: int | None = None, *, mirrored: bool = False) -> Ci
     control sits on the qubit whose pattern bit flips between consecutive
     Gray codes (cyclically, so the closing CNOT is controlled by the first
     listed control). ``mirrored`` emits the horizontally reversed, equally
-    valid sequence; k = 0 degenerates to a single rotation either way.
+    valid sequence; k = 0 degenerates to a single rotation either way. The
+    ladder passes the check of ``Circuit(n, gates)``.
     """
-    if n is None:
-        n = max((g.target, *g.controls))
-    n = check_qubit_count(n)
-    for q in (g.target, *g.controls):
-        if not 1 <= q <= n:
-            raise ValueError(f"UCR qubit {q} outside 1..{n}")
-    control = ladder_controls(g.controls, mirrored=mirrored)
-    theta = alpha_to_theta(g.angles)
-    angle = np.zeros(control.size)
-    angle[control == 0] = theta[::-1] if mirrored else theta
-    zeros = np.zeros(control.size, dtype=np.int32)
-    return Circuit._from_columns(n, control, zeros + g.target, zeros, (g.axis,), angle)
+    n = max((g.target, *g.controls)) if n is None else n
+    position = ladder_controls(tuple(range(1, g.k + 1)), mirrored=mirrored)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check words a non-finite angle
+        theta = alpha_to_theta(g.angles)
+    angle = np.zeros(position.size)
+    angle[position == 0] = theta[::-1] if mirrored else theta
+    # qubits at their own width, which _check narrows to int32 or refuses
+    control, target = np.array((0, *g.controls))[position], np.full(position.size, g.target)
+    axis = np.zeros_like(position)
+    return Circuit._check(n, position > 0, control, target, axis, (g.axis,), angle)
 
 
 def ladder_controls(controls: tuple[int, ...], *, mirrored: bool = False) -> np.ndarray:
@@ -363,6 +365,7 @@ def simplify(c: Circuit, *, prune_atol: float | None = None) -> Circuit:
 
     Each rotation dropped or popped moves the unitary by at most
     prune_atol/2 in operator norm, since |R(a) - I| = 2|sin(a/4)| <= |a|/2.
+    A merge beyond the float range raises ValueError as it is made.
     """
     if prune_atol is not None and not (_instances([prune_atol], Real) and 0 <= prune_atol < math.inf):
         raise ValueError(f"prune_atol must be a finite number >= 0, got {prune_atol!r}")
@@ -380,19 +383,14 @@ def simplify(c: Circuit, *, prune_atol: float | None = None) -> Circuit:
         rows, merged = reduced
         control, target, axis, angle = control[rows], target[rows], axis[rows], angle[rows]
         angle[np.searchsorted(rows, list(merged))] = list(merged.values())
-    out = Circuit._from_columns(c.n, control, target, axis, c.axes, angle)
-    bad = ~np.isfinite(out.angle)  # two finite angles can merge to inf
-    if bad.any():  # build that row's gate alone; out.gates would build every row
-        r = int(np.argmax(bad))
-        g = Rot(out.axes[out.axis[r]], int(out.target[r]), float(out.angle[r]))
-        raise ValueError(f"gate {g} has a non-finite angle")
-    return out
+    return Circuit._from_columns(c.n, control, target, axis, c.axes, angle)
 
 
 def _stack_pass(c: Circuit, atol: float) -> tuple[np.ndarray, dict[int, float]] | None:
     """simplify's rule on the rows of c, pruning rotations within atol
     (none if atol < 0): None if no row reduces or is dropped, else the rows
-    that stay, in order, and the angle of each merged one by row.
+    that stay, in order, and the angle of each merged one by row. A merge
+    beyond the float range raises ValueError as it is made.
 
     The tiny rotations go out with one mask. Of the rows left, only one
     whose key repeats the previous row's, or that follows a row that left
@@ -437,6 +435,10 @@ def _stack_pass(c: Circuit, atol: float) -> tuple[np.ndarray, dict[int, float]] 
             if k < 0:  # rotations merge, unless the sum is within atol
                 a = merged.pop(top, angle.item(keep.item(top))) + angle.item(keep.item(j))
                 if not abs(a) <= atol:
+                    if not math.isfinite(a):  # how finite rows can gain an inf
+                        r = keep.item(top)
+                        g = Rot(c.axes[c.axis.item(r)], c.target.item(r), a)
+                        raise ValueError(f"gate {g} has a non-finite angle")
                     merged[top] = a
                     first = j + 1
             if first == j:  # both rows leave; the next one faces the new top

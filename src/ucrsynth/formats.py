@@ -3,9 +3,10 @@
 Floats are serialized with Python's shortest round-trip repr, so a parsed
 document reproduces the original doubles bit for bit. Syntax errors carry
 line:column anchors; structural errors carry the offending field path.
-Readers check and build whole columns; a record pass only words the error of a
-malformed record. A circuit file is checked in order: its records' fields, then
-n >= 1, then qubits within int32 and in 1..n, the last two by Circuit._check.
+Readers check and build whole columns. A circuit file is checked in order: its
+records' fields, metadata, then by Circuit._check n >= 1, qubits within int32,
+CNOT control != target, qubits in 1..n and finite angles; a record pass words the
+first record at fault, and runs before any refusal, so such a record is reported first.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from typing import Any, NoReturn
+from typing import Any
 
 import numpy as np
 
@@ -138,7 +139,7 @@ def dump_circuit(c: Circuit, metadata: dict | None = None) -> str:
 
 
 def _gate_columns(records: list) -> tuple | None:
-    """The gate columns, qubits as the ints read; None iff some record is malformed."""
+    """The gate columns, qubits as the ints read; None iff a record's fields are malformed."""
     try:
         kinds = [r["type"] for r in records]
         cnot = np.array([k == "cnot" for k in kinds], dtype=bool)
@@ -157,15 +158,11 @@ def _gate_columns(records: list) -> tuple | None:
         axis[~cnot], angles[~cnot] = [index[k] for k in keys], angle
     except (KeyError, TypeError, OverflowError, ParseError):
         return None
-    # CNOT rows only: a rotation on qubit 0 is a range error, not a record error
-    coincide = any(c == t for c, t, k in zip(control, target, kinds) if k == "cnot")
-    if coincide or not np.isfinite(angles).all():
-        return None
     return cnot, control, target, axis, tuple(axes), angles
 
 
-def _word_gate_error(records: list, label: str) -> NoReturn:
-    """Raise the error of the first malformed record: one exists if _gate_columns is None."""
+def _word_gate_error(records: list, label: str) -> None:
+    """Raise the error of the first record at fault, if any: one is if _gate_columns is None."""
     for i, rec in enumerate(records):
         path = f"gates[{i}]"
         kind = _get(rec, "type", str, label, f"{path}.type")
@@ -190,13 +187,13 @@ def load_circuit(text: str, *, label: str = "<circuit>") -> tuple[Circuit, dict]
     records = _get(data, "gates", list, label)
     columns = _gate_columns(records) or _word_gate_error(records, label)
     metadata = data.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ParseError(f"{label}: metadata: expected an object")
     try:
-        circuit = Circuit._check(n, *columns)
+        if not isinstance(metadata, dict):
+            raise ValueError("metadata: expected an object")
+        return Circuit._check(n, *columns), metadata
     except ValueError as e:
+        _word_gate_error(records, label)  # a record at fault is reported first
         raise ParseError(f"{label}: {e}") from e
-    return circuit, metadata
 
 
 def export_qasm(c: Circuit) -> str:

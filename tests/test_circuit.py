@@ -571,3 +571,56 @@ def test_public_constructor_rejects_integers_beyond_the_columns():
             Circuit(2, gates)
     with pytest.raises(ValueError, match="angle beyond the float range"):
         Circuit(1, (Rot(AXIS_Y, 1, 10**400),))
+
+
+def test_check_narrows_integer_arrays_without_wrapping():
+    # an int64 column was cast to int32 unchecked: target 2**40 + 1 was stored as 1
+    for column in (np.array([2**40 + 1]), np.array([2**31]), np.array([-(2**31) - 1]),
+                   np.array([2**63], dtype=np.uint64)):
+        with pytest.raises(ValueError, match=r"qubit index outside 1..2199023255552$"):
+            Circuit._check(2**41, [False], [0], column, [0], (AXIS_Y,), [0.1])
+        with pytest.raises(ValueError, match=r"qubit index outside 1..2199023255552$"):
+            Circuit._check(2**41, [True], column, [1], [0], (AXIS_Y,), [0.0])
+    # a narrower or equal width is taken at its value; int32 as it is
+    target = np.array([2], dtype=np.int32)
+    c = Circuit._check(2, [False], np.array([0], np.int8), target, [0], (AXIS_Y,), [0.1])
+    assert c.target is target and c.control.tolist() == [0]
+
+
+def test_lower_ucr_refuses_an_angle_beyond_the_float_range():
+    # the ladder's first angle used to overflow to inf, which apply_circuit
+    # turned into NaN amplitudes and export_qasm wrote as ry(-inf)
+    g = UcrGate((1,), 2, AXIS_Y, [1.7e308, 1.7e308])
+    message = re.escape("gate Rot(axis=Axis(ay=1.0, az=0.0), target=2, angle=inf) has a non-finite")
+    with pytest.raises(ValueError, match=message):
+        lower_ucr(g)
+
+
+def lower_ucr_error(controls, target, n) -> str:
+    g = UcrGate(controls, target, AXIS_Y, [0.1] * (1 << len(controls)))
+    with pytest.raises(ValueError) as info:
+        lower_ucr(g, n)
+    return str(info.value)
+
+
+def test_lower_ucr_refuses_controls_beyond_int32():
+    # control 2**32 + 1 used to wrap to 1 and build Cnot(1, 1); control 2**32
+    # wrapped to 0 and hit a numpy assignment error
+    with pytest.raises(ValueError) as want:
+        Circuit(2**33, [Cnot(2**32 + 1, 1)])
+    assert str(want.value) == "qubit index outside 1..8589934592"
+    for control in (2**32 + 1, 2**32):
+        assert lower_ucr_error((control,), 1, 2**33) == str(want.value)
+
+
+def test_lower_ucr_refuses_a_target_beyond_int32():
+    # used to raise numpy's OverflowError
+    with pytest.raises(ValueError) as want:
+        Circuit(2**40, [Rot(AXIS_Y, 2**40, 0.1)])
+    assert str(want.value) == "qubit index outside 1..1099511627776"
+    assert lower_ucr_error((), 2**40, 2**40) == str(want.value)
+
+
+def test_lower_ucr_checks_n_before_qubit_width():
+    for controls, target in (((2**40,), 1), ((), 2**40), ((1,), 2**70)):
+        assert lower_ucr_error(controls, target, -1) == "qubit count must be >= 1, got -1"

@@ -505,6 +505,10 @@ def test_column_reader_equals_record_reader_on_valid_documents(doc):
                             {"type": "rot", "axis": [0, True, 0], "target": 1, "angle": 1}]})
 @example({"n": 1, "gates": [{"type": "rot", "axis": [0, 1, 0], "target": 1, "angle": 1},
                             {"type": "rot", "axis": "[0, 1, 0]", "target": 1, "angle": 1}]})
+# a record at fault is reported before a bad metadata or n; 1e400 reads as inf
+@example({"n": 2, "gates": [{"type": "cnot", "control": 1, "target": 1}], "metadata": 7})
+@example({"n": -1, "gates": [{"type": "rot", "axis": "y", "target": 1, "angle": math.inf}]})
+@example({"n": -1, "gates": [{"type": "cnot", "control": 1, "target": 1}]})
 def test_column_reader_words_errors_like_record_reader(doc):
     text = json.dumps(doc)
     assert read_outcome(load_circuit, text) == read_outcome(load_circuit_records, text)
@@ -515,7 +519,9 @@ def test_column_reader_words_errors_like_record_reader(doc):
 @example({"n": 1, "gates": [{"type": "rot", "axis": "y", "target": 0, "angle": 1}]})
 @example({"n": 2, "gates": [{"type": "cnot", "control": 2**40, "target": 1}]})
 def test_column_reader_refuses_only_what_the_wording_pass_words(doc):
-    # load_circuit relies on this: the wording pass returns only by raising
+    # load_circuit relies on this where the column pass refuses. After a
+    # later refusal (metadata, or Circuit._check) the wording pass may find
+    # no record at fault and return, and then that refusal stands
     if formats._gate_columns(doc["gates"]) is None:
         with pytest.raises(ParseError):
             formats._word_gate_error(doc["gates"], "c.json")

@@ -157,6 +157,23 @@ def test_prepare_counts_and_fidelity():
         assert abs(wrap_angle(math.atan2(ov.imag, ov.real) - result.residual_phase)) <= 1e-9
 
 
+def test_pruned_real_map_keeps_the_real_closed_form():
+    # non-negative real states have phase 0 everywhere, and pruning keeps
+    # 2**(n + 1) - 3 rotations; the CNOTs stay within the full closed form,
+    # a bound that commuting CNOTs into one target may lower
+    for n in range(1, 11):
+        for seed in range(3):
+            rng = np.random.default_rng(100 * n + seed)
+            a, b = (make_state(n, rng.random(1 << n), normalize=True) for _ in range(2))
+            result = prepare(a, b)
+            pruned = simplify(result.circuit, prune_atol=1e-12)
+            counts = gate_counts(pruned)
+            assert counts["rot"] == 2 ** (n + 1) - 3
+            assert counts["cnot"] <= full_counts(n)["cnot"]
+            out = apply_circuit(a, pruned).amplitudes
+            assert np.abs(out - np.exp(1j * result.residual_phase) * b.amplitudes).max() <= 1e-12
+
+
 def test_certify_prepare_at_n14():
     # the widest UCRs have k = 13 controls: six 2-bit groups of the
     # transform plus its odd top bit, and simulator runs with 13 controls
