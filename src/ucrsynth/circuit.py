@@ -16,7 +16,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .gray import alpha_to_theta, gray_permutation
+from .gray import alpha_to_theta
 from .state import _instances, check_qubit_count
 
 AXIS_ATOL = 1e-12
@@ -289,15 +289,15 @@ def gate_counts(c: Circuit) -> dict[str, int]:
 def lower_ucr(g: UcrGate, n: int | None = None, *, mirrored: bool = False) -> Circuit:
     """Decompose a UCR into its CNOT ladder of 2**k rotations and 2**k CNOTs.
 
-    The ladder alternates Rot(theta_t) on the target with a CNOT whose
-    control sits on the qubit whose pattern bit flips between consecutive
-    Gray codes (cyclically, so the closing CNOT is controlled by the first
-    listed control). ``mirrored`` emits the horizontally reversed, equally
-    valid sequence; k = 0 degenerates to a single rotation either way. The
-    ladder passes the check of ``Circuit(n, gates)``.
+    The ladder alternates Rot(theta_t) on the target with a CNOT on
+    controls[k - 1 - min(ctz(s), k - 1)] for CNOT s = 1..2**k: the control
+    whose bit flips between Gray codes s - 1 and s, cyclically (see
+    ``ladder_controls``). ``mirrored`` emits the reversed, equally valid
+    sequence, which opens with the closing CNOT; k = 0 is a single rotation.
+    The ladder passes the check of ``Circuit(n, gates)``.
     """
     n = max((g.target, *g.controls)) if n is None else n
-    position = ladder_controls(tuple(range(1, g.k + 1)), mirrored=mirrored)
+    position = ladder_controls(g.k, mirrored=mirrored)
     with np.errstate(over="ignore", invalid="ignore"):  # _check words a non-finite angle
         theta = alpha_to_theta(g.angles)
     angle = np.zeros(position.size)
@@ -308,22 +308,20 @@ def lower_ucr(g: UcrGate, n: int | None = None, *, mirrored: bool = False) -> Ci
     return Circuit._check(n, position > 0, control, target, axis, (g.axis,), angle)
 
 
-def ladder_controls(controls: tuple[int, ...], *, mirrored: bool = False) -> np.ndarray:
-    """Control column of the ladder of a UCR with these controls.
+def ladder_controls(k: int, *, mirrored: bool = False) -> np.ndarray:
+    """Control column of the ladder of a UCR with k controls, for any angles.
 
-    Row r holds 0 for a rotation and the CNOT's control otherwise; every
-    row acts on the UCR's target. This part of the lowering does not
-    depend on the angles.
+    Rows alternate rotation (0) and CNOT; CNOT s = 1..2**k sits on control
+    position k - min(ctz(s), k - 1), ctz(s) = popcount((s & -s) - 1), since
+    bit ctz(s) flips between Gray codes s - 1 and s and the closing CNOT
+    flips bit k - 1. CNOTs 1..2**k - 1, the ruler sequence, read the same
+    reversed, so the mirrored column opens with the closing CNOT.
     """
-    k = len(controls)
     if not k:
         return np.zeros(1, dtype=np.int32)
     control = np.zeros(2 << k, dtype=np.int32)
-    codes = gray_permutation(k)
-    # the flipped bit 2**b between Gray codes t and t + 1 belongs to
-    # controls[k - 1 - b]; b = popcount(2**b - 1)
-    bit = np.bitwise_count((codes ^ np.roll(codes, -1)) - 1)
-    control[1::2] = np.array(controls)[k - 1 - bit]
+    s = np.arange(1, (1 << k) + 1)
+    control[1::2] = k - np.minimum(np.bitwise_count((s & -s) - 1), k - 1)
     return control[::-1] if mirrored else control
 
 

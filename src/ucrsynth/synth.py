@@ -116,7 +116,7 @@ def _skeleton(layout: tuple[tuple[int, Axis], ...]) -> tuple[Circuit, tuple[tupl
     row given.
     """
     columns = [
-        ladder_controls(tuple(range(1, t)), mirrored=index % 2 == 1)
+        ladder_controls(t - 1, mirrored=index % 2 == 1)
         for index, (t, _) in enumerate(layout)
     ]
     base = np.zeros((3, sum(ladder.size for ladder in columns)), dtype=np.int32)

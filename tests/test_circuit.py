@@ -23,6 +23,7 @@ from ucrsynth import (
     dump_circuit,
     export_qasm,
     gate_counts,
+    gray_permutation,
     lower_ucr,
     make_state,
     prepare,
@@ -31,7 +32,7 @@ from ucrsynth import (
     simplify,
     ucr_matrix,
 )
-from ucrsynth.circuit import MAX_UCR_CONTROLS, Gate
+from ucrsynth.circuit import MAX_UCR_CONTROLS, Gate, ladder_controls
 
 I2 = np.eye(2)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -188,6 +189,23 @@ def test_lower_ucr_k2_control_sequence():
     controls = [x.control for x in c.gates if isinstance(x, Cnot)]
     assert controls == [2, 1, 2, 1]
     assert all(x.target == 3 for x in c.gates)
+    # the closed form against its definition: the CNOT after Gray code t is
+    # controlled by the qubit of the bit b flipping to code t + 1, cyclically
+    rng = np.random.default_rng(28)
+    for k in range(1, 13):
+        *controls, target = (int(q) for q in rng.permutation(k + 1) + 1)
+        codes = gray_permutation(k)
+        bit = np.bitwise_count((codes ^ np.roll(codes, -1)) - 1)
+        want = [controls[k - 1 - b] for b in bit]
+        g = UcrGate(tuple(controls), target, AXIS_Z, rng.uniform(-3, 3, 1 << k))
+        for mirrored in (False, True):
+            c = lower_ucr(g, mirrored=mirrored)
+            assert c.control[c.control > 0].tolist() == (want[::-1] if mirrored else want)
+            assert (c.target == target).all()
+    # a mirrored ladder opens with the plain one's closing CNOT, so in a
+    # pair it faces and cancels the closing CNOT of the plain ladder before it
+    for k in range(1, 17):
+        assert np.array_equal(ladder_controls(k, mirrored=True), np.roll(ladder_controls(k), 1))
 
 
 def test_lower_ucr_counts_and_targets():
