@@ -351,15 +351,19 @@ def dagger(c: Circuit) -> Circuit:
 def simplify(c: Circuit, *, prune_atol: float | None = None) -> Circuit:
     """Peephole simplification to fixpoint, preserving the circuit unitary.
 
-    The rule has two steps. First every rotation with |angle| <= prune_atol
+    The rule has three steps. First every rotation with |angle| <= prune_atol
     is dropped; None (the default) prunes nothing, so generic counts keep
-    their closed-form values. Then a stack pass runs over the rows that are
-    left, in time order: a row reduces with the stack top iff their
-    (control, target, axis) keys agree, as CNOT rows carry axis 0.
-    Identical CNOTs cancel, and rotations about one axis on one target
-    merge by angle addition, left to right; a merge that lands within
-    prune_atol pops both rows, exposing the row below. No two adjacent
-    stack rows share a key, so one pass reaches the fixpoint.
+    their closed-form values. Then each block, a maximal run of adjacent
+    CNOTs into one target, keeps the last CNOT of each control that occurs
+    in it an odd number of times: CNOTs into one target commute and two
+    with one control cancel, so pruning a ladder's rotations also cancels
+    the CNOTs it leaves into one target. Then a stack pass runs over the
+    rows left, in time order: an arriving CNOT looks down the top block for
+    its twin, and both go if it is there; rotations about one axis on one
+    target merge by angle addition, left to right, and a merge that lands
+    within prune_atol pops both rows, exposing the rows below. No stack
+    block repeats a control and no two adjacent stack rows share a
+    (control, target, axis) key, so one pass reaches the fixpoint.
 
     Each rotation dropped or popped moves the unitary by at most
     prune_atol/2 in operator norm, since |R(a) - I| = 2|sin(a/4)| <= |a|/2.
@@ -390,70 +394,93 @@ def _stack_pass(c: Circuit, atol: float) -> tuple[np.ndarray, dict[int, float]] 
     that stay, in order, and the angle of each merged one by row. A merge
     beyond the float range raises ValueError as it is made.
 
-    The tiny rotations go out with one mask. Of the rows left, only one
-    whose key repeats the previous row's, or that follows a row that left
-    the stack, can find its own key on the top: once a row stays, pushed
-    or merged, the top holds its key, and the next row, unless its key is
-    the same, is pushed as it is and holds the top in turn. So every
-    stretch up to the next such row is pushed whole, as one range.
+    The tiny rotations go out with one mask, the blocks with one table of
+    (block, control) counts and last rows; the stack is then the rows
+    before the current one, less those that left. Only a rotation whose
+    key repeats the previous row's, the row after a block that went whole,
+    or a row after one that left or after a CNOT that met a block can
+    reduce: a row that stays leaves its key on the top, and a CNOT right
+    after a CNOT into its target shares its block, of distinct controls.
     """
-    # one integer per key, negative for rotations: a CNOT row has control
-    # > 0 and axis 0, a rotation row control 0, so control - axis and the
-    # target tell keys apart; int32 holds it for all but huge n or axes
+    # one integer per key, negative for rotations: a CNOT row's key tells
+    # its target, a rotation row's its axis and target, since only CNOT rows
+    # have control > 0 and they carry axis 0; int32 holds it for all but
+    # huge n or axes
     span = min(c.n, 2**31 - 1) + 1
-    key = c.control - c.axis
+    key = np.minimum(c.control, 1) - c.axis
     if (max(c.n, len(c.axes)) + 1) * span >= 2**31:
         key = key.astype(np.int64)
     key *= span
     key -= c.target
-    keep, angle = None, c.angle
+    keep, angle, at = None, c.angle, int
     if atol >= 0:  # two bool masks, not a float temporary of every row
         tiny = (key < 0) & (-atol <= angle) & (angle <= atol)
         if tiny.any():
             keep = np.flatnonzero(~tiny)
             key = key[keep]
-    hot = key[1:] == key[:-1]
+    hot = (key[1:] == key[:-1]).nonzero()[0] + 1
+    link = hot[key[hot] > 0] - 1  # rows p, p + 1 in one block
+    if link.size:  # each control of a block keeps its last row if it occurs an odd number of times
+        end = np.concatenate(((link[1:] != link[:-1] + 1).nonzero()[0], [link.size - 1]))  # in link
+        rows, block = np.concatenate((link, link[end] + 1)), np.arange(end.size)
+        block = np.concatenate((np.repeat(block, np.diff(end, prepend=-1)), block))
+        pair = block * span + c.control[rows if keep is None else keep[rows]]
+        if end.size * span > 8 * key.size:  # wide qubits: number the pairs seen
+            pair = np.unique(pair, return_inverse=True)[1]
+        count = np.bincount(pair)
+        last = np.zeros(count.size, np.intp)
+        np.maximum.at(last, pair, np.arange(rows.size))
+        odd = last[(count & 1).astype(bool)]
+        stay = np.ones(key.size, bool)
+        stay[rows] = False
+        stay[rows[odd]] = True
+        stay = stay.nonzero()[0]
+        # hot by position among the rows that stay, with the row after each block that went
+        whole = np.bincount(block[odd], minlength=end.size) == 0
+        hot = np.searchsorted(stay, np.concatenate((hot[key[hot] < 0], link[end[whole]] + 2)))
+        keep, at = stay if keep is None else keep[stay], stay.item
+    hot = sorted({*hot.tolist(), key.size if keep is None else keep.size})
     if keep is None:
-        if not hot.any():
+        if len(hot) == 1:
             return None
         keep = np.arange(key.size)
-    hot = [*(np.flatnonzero(hot) + 1).tolist(), keep.size]
 
-    # the stack: ranges [start, end) of positions in keep, and the angles
-    # of merged rows on it by position
-    starts: list[int] = []
-    ends: list[int] = []
+    # down[r] for a row r that left: a row below it to look at instead
+    down: dict[int, int] = {}
     merged: dict[int, float] = {}
-    j = h = 0
-    while j < keep.size:
-        k = key.item(j)
-        first = j  # the first row still to push
-        if ends and key.item(ends[-1] - 1) == k:  # row j reduces with the top
-            top = ends[-1] - 1
-            if k < 0:  # rotations merge, unless the sum is within atol
-                a = merged.pop(top, angle.item(keep.item(top))) + angle.item(keep.item(j))
-                if not abs(a) <= atol:
-                    if not math.isfinite(a):  # how finite rows can gain an inf
-                        r = keep.item(top)
-                        g = Rot(c.axes[c.axis.item(r)], c.target.item(r), a)
-                        raise ValueError(f"gate {g} has a non-finite angle")
-                    merged[top] = a
-                    first = j + 1
-            if first == j:  # both rows leave; the next one faces the new top
-                ends[-1] = top
-                if top == starts[-1]:
-                    del starts[-1], ends[-1]
-                j += 1
-                continue
-        while hot[h] <= j:
-            h += 1
-        if first < hot[h]:  # push row j, unless merged, and the stretch after it
-            starts.append(first)
-            ends.append(hot[h])
-        j = hot[h]
-
-    # the ranges and the gaps around them, as alternating runs of one mask
-    edges = np.array([starts, ends], dtype=np.intp).ravel(order="F")
-    runs = np.diff(edges, prepend=0, append=keep.size)
-    stay = np.repeat(np.arange(runs.size) % 2 == 1, runs)
-    return keep[stay], {keep.item(p): a for p, a in merged.items()}
+    i = h = 0
+    while i < keep.size:
+        if i < hot[h]:  # push rows up to the next hot one as they are
+            i = hot[h]
+            continue
+        k, p = key.item(at(i)), i - 1
+        while p in down:  # the top
+            p = down[p]
+        kp = key.item(at(p)) if p >= 0 else 0
+        step = kp == k and k > 0
+        if step:  # a CNOT meets its block: look down it for the twin
+            q, control = p, c.control.item(keep.item(i))
+            while q >= 0 and key.item(at(q)) == k:
+                if c.control.item(keep.item(q)) == control:
+                    down[q], down[i] = q - 1, p
+                    break
+                q -= 1
+                while q in down:
+                    q = down[q]
+        elif kp == k:  # rotations merge, unless the sum is within atol
+            a = merged.pop(p, angle.item(keep.item(p))) + angle.item(keep.item(i))
+            down[i] = p
+            if abs(a) <= atol:
+                down[p], step = p - 1, True
+            elif not math.isfinite(a):  # how finite rows can gain an inf
+                r = keep.item(p)
+                g = Rot(c.axes[c.axis.item(r)], c.target.item(r), a)
+                raise ValueError(f"gate {g} has a non-finite angle")
+            else:
+                merged[p] = a
+        i += 1
+        if not step:  # the next row faces row i - 1 or its key
+            while hot[h] < i:
+                h += 1
+    rows = np.delete(keep, list(down)) if down else keep
+    return rows, {keep.item(p): a for p, a in merged.items()}

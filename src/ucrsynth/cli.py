@@ -341,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_in_range(float, 0),
         default=None,
         metavar="EPS",
-        help="drop rotations with |angle| <= EPS after synthesis",
+        help="drop rotations with |angle| <= EPS after synthesis, and cancel the CNOTs "
+        "this leaves commuting into one target",
     )
     synth.add_argument("--json", metavar="PATH", help="write the circuit file here")
     synth.add_argument("--qasm", metavar="PATH", help="also export OpenQASM 2.0 here")

@@ -247,35 +247,55 @@ def test_lower_matches_matrix_oracle():
                 assert np.abs(got - ucr_matrix(g)).max() <= 1e-12
 
 
-def simplify_gates(c: Circuit, *, prune_atol: float = 0.0, prune: bool = False) -> Circuit:
-    """Oracle for ``simplify``: the same peephole rules over gate objects.
+def simplify_gates(
+    c: Circuit, *, prune_atol: float = 0.0, prune: bool = False, blocks: bool = True
+) -> Circuit:
+    """Oracle for ``simplify``: its rule over gate objects, one gate at a time.
 
-    This is the gate-object pass ``simplify`` was before it moved onto the
-    columns, with its old ``prune`` flag, kept as an independent reference:
-    ``simplify(c)`` must equal ``simplify_gates(c)``, and
+    An independent reference for the column pass, with the old ``prune``
+    flag: ``simplify(c)`` must equal ``simplify_gates(c)``, and
     ``simplify(c, prune_atol=x)`` must equal
     ``simplify_gates(c, prune_atol=x, prune=True)``.
 
-    Rules, applied to consecutive gates in the list: adjacent identical
-    CNOTs cancel; adjacent rotations with the same axis and target merge by
-    angle addition. Only when ``prune`` is set, a rotation with |angle| <=
-    prune_atol is dropped before it can merge, and a merge that lands there
-    is dropped too; pruning is off by default so gate counts stay at the
-    generic closed-form values (a merge to angle 0 keeps its gate).
+    Only when ``prune`` is set, the rotations with |angle| <= prune_atol go
+    first, and a merge that lands there goes too; pruning is off by default
+    so gate counts stay at the generic closed-form values (a merge to angle
+    0 keeps its gate). Of the gates left, each block, a maximal run of
+    adjacent CNOTs into one target, keeps the last CNOT of each control
+    that occurs in it an odd number of times: CNOTs into one target
+    commute, and two with one control cancel. Then a stack pass: an
+    arriving CNOT looks down the top block for its twin, and both go if it
+    is there; an arriving rotation merges with a top rotation of the same
+    axis and target by angle addition.
 
-    One stack pass reaches the fixpoint: every reduction re-exposes the
-    previous gate, which is re-checked before anything new is pushed, so
-    the stack never holds a reducible adjacent pair.
+    One pass reaches the fixpoint: every reduction re-exposes the gates
+    below, which are checked again before anything new is pushed, so no
+    stack block repeats a control and no two adjacent stack rotations
+    share axis and target. ``blocks=False`` is the rule before CNOTs into
+    one target commuted, kept to compare against: no block step, and an
+    arriving CNOT meets the top gate alone.
     """
     atol = prune_atol if prune else None
+    gates = [g for g in c.gates if not (atol is not None and isinstance(g, Rot) and abs(g.angle) <= atol)]
+    if blocks:
+        kept: list[Gate] = []
+        for _, run in itertools.groupby(gates, lambda g: g.target if isinstance(g, Cnot) else object()):
+            run = list(run)
+            kept += [g for i, g in enumerate(run) if run.count(g) % 2 and g not in run[i + 1 :]]
+        gates = kept
     out: list[Gate] = []
-    for g in c.gates:
+    for g in gates:
         reduced: Gate | None = g
         while reduced is not None:
             top = out[-1] if out else None
             if isinstance(reduced, Cnot):
-                if top == reduced:
-                    out.pop()
+                i = len(out) - 1
+                while blocks and i >= 0 and isinstance(out[i], Cnot) and out[i].target == g.target:
+                    if out[i] == reduced:
+                        break
+                    i -= 1
+                if i >= 0 and out[i] == reduced:
+                    del out[i]
                     reduced = None
                 break
             if atol is not None and abs(reduced.angle) <= atol:

@@ -370,7 +370,7 @@ def test_bench_json_record(tmp_path, capsys):
         assert set(pruned) == {"n", "synth_verify_s", "simplify_s", "before", "after"}
         assert pruned["n"] == 12 and min(pruned["synth_verify_s"], pruned["simplify_s"]) > 0
         assert pruned["before"] == {"cnot": 16332, "rot": 16379}
-        assert pruned["after"] == {"cnot": 16332, "rot": 7796}
+        assert pruned["after"] == {"cnot": 8150, "rot": 7796}
     # and the digests of a fixed sweep of outputs, whatever --n-max and --seed say
     for name in ("digest", "digest_pruned", "digest_sim"):
         assert re.fullmatch("[0-9a-f]{64}", runs[0][name])

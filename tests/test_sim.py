@@ -26,6 +26,7 @@ from ucrsynth import (
     dagger,
     disentangle,
     dump_circuit,
+    gate_counts,
     load_circuit,
     lower_ucr,
     make_state,
@@ -330,7 +331,10 @@ PRUNE_ATOLS = (None, 0.0, 1e-12, 0.5)
 # merged y rotations cancel with the ones before them, the second with what
 # the first exposed; the rotations around a tiny one merge without it; at
 # 0.5 the -0.2 is dropped, not merged into a 0.4 that would pop both; zeros
-# of both signs merge
+# of both signs merge; CNOTs into one target cancel across one with another
+# control, and two pairs across each other; once the tiny rotation goes, its
+# two CNOT pairs form one block that cancels, and the rotations around it
+# merge; a CNOT into another target breaks a block, which stays whole
 STACK_ORDERS = [
     Circuit(2, (Rot(AXIS_Y, 2, 0.7), Cnot(1, 2), Cnot(1, 2), Rot(AXIS_Y, 2, 1e-13))),
     Circuit(2, (Cnot(1, 2), Cnot(1, 2), Cnot(1, 2))),
@@ -341,6 +345,11 @@ STACK_ORDERS = [
     Circuit(1, (Rot(AXIS_Y, 1, 0.3), Rot(AXIS_Y, 1, 1e-13), Rot(AXIS_Y, 1, 0.2))),
     Circuit(1, (Rot(AXIS_Y, 1, 0.6), Rot(AXIS_Y, 1, -0.2))),
     Circuit(1, (Rot(AXIS_Y, 1, -0.0), Rot(AXIS_Y, 1, -0.0), Rot(AXIS_Z, 1, -0.0), Rot(AXIS_Z, 1, 0.0))),
+    Circuit(3, (Cnot(1, 3), Cnot(2, 3), Cnot(1, 3))),
+    Circuit(3, (Cnot(1, 3), Cnot(2, 3), Cnot(1, 3), Cnot(2, 3))),
+    Circuit(3, (Rot(AXIS_Y, 3, 0.3), Cnot(1, 3), Cnot(2, 3), Rot(AXIS_Y, 3, 1e-13),
+                Cnot(1, 3), Cnot(2, 3), Rot(AXIS_Y, 3, 0.2))),
+    Circuit(3, (Cnot(1, 3), Cnot(2, 3), Cnot(1, 2), Cnot(1, 3), Cnot(2, 3))),
 ]
 
 
@@ -356,9 +365,12 @@ EXAMPLES = [
 ]
 
 
+SIMPLIFY_CASES = st.one_of(circuits(), ladders(), pruned_ladders())
+
+
 def simplify_cases(test):
     """Run test on circuits, ladders and pruned ladders, and on EXAMPLES."""
-    test = given(st.one_of(circuits(), ladders(), pruned_ladders()))(test)
+    test = given(SIMPLIFY_CASES)(test)
     for c in EXAMPLES:
         test = example(c)(test)
     return settings(deadline=None)(test)
@@ -382,6 +394,31 @@ def test_simplify_is_idempotent(c):
         assert angle_bits(twice) == angle_bits(once)
 
 
+@simplify_cases
+def test_simplify_counts_never_exceed_the_old_rule(c):
+    # the rule before CNOTs into one target commuted: identical neighbours only
+    for atol in PRUNE_ATOLS:
+        got = gate_counts(simplify(c, prune_atol=atol))
+        old = gate_counts(simplify_gates(c, prune_atol=atol or 0.0, prune=atol is not None, blocks=False))
+        assert got["cnot"] <= old["cnot"] and got["rot"] <= old["rot"]
+
+
+def cnot_blocks(c, atol=None):
+    """Controls of each block of c, a maximal run of adjacent CNOTs into one
+    target, once the rotations within atol are gone."""
+    gates = [g for g in c.gates if not (atol is not None and isinstance(g, Rot) and abs(g.angle) <= atol)]
+    runs = itertools.groupby(gates, lambda g: g.target if isinstance(g, Cnot) else None)
+    return [[g.control for g in run] for target, run in runs if target is not None]
+
+
+def test_simplify_cases_reach_a_twin_across_a_block():
+    # a CNOT whose twin sits in its block but not next to it, as the CNOTs a
+    # pruned ladder leaves do
+    find(SIMPLIFY_CASES, lambda c: any(
+        control in block[: i - 1] for block in cnot_blocks(c, 1e-12) for i, control in enumerate(block)
+    ))
+
+
 @settings(deadline=None)
 @given(st.one_of(circuits(max_n=4), pruned_ladders(max_n=4)))
 @example(Circuit(2, (Cnot(1, 2), Rot(AXIS_Z, 2, 1.0), Rot(AXIS_Z, 2, -1.0), Cnot(1, 2))))
@@ -396,6 +433,7 @@ def test_simplify_preserves_unitary(c):
             assert not (np.abs(out.angle[rot]) <= x).any()
         key = np.stack([out.control, out.target, out.axis], axis=1)
         assert not (key[1:] == key[:-1]).all(axis=1).any()
+        assert all(len(set(block)) == len(block) for block in cnot_blocks(out))
         # each rotation dropped, or popped with the one it merged into,
         # moves the unitary by at most x/2 in operator norm
         removed = rotations - np.count_nonzero(rot)
@@ -434,10 +472,14 @@ def test_stack_orders_pinned():
         (Rot(AXIS_Y, 1, 0.3 + 0.2),),
         (Rot(AXIS_Y, 1, 0.6 + -0.2),),
         (),
+        (Cnot(2, 3),),
+        (),
+        (Rot(AXIS_Y, 3, 0.3 + 0.2),),
+        STACK_ORDERS[11].gates,
     ]
     assert [simplify(c, prune_atol=1e-12).gates for c in STACK_ORDERS] == expect
     assert simplify(STACK_ORDERS[6], prune_atol=0.5).gates == (Rot(AXIS_Y, 1, 0.6),)
-    assert angle_bits(simplify(STACK_ORDERS[-1])) == [(-0.0).hex(), 0.0.hex()]
+    assert angle_bits(simplify(STACK_ORDERS[7])) == [(-0.0).hex(), 0.0.hex()]
 
 
 def widest_flip(c):

@@ -158,9 +158,9 @@ def test_prepare_counts_and_fidelity():
 
 
 def test_pruned_real_map_keeps_the_real_closed_form():
-    # non-negative real states have phase 0 everywhere, and pruning keeps
-    # 2**(n + 1) - 3 rotations; the CNOTs stay within the full closed form,
-    # a bound that commuting CNOTs into one target may lower
+    # non-negative real states have phase 0 everywhere, so every z ladder
+    # is pruned whole: its CNOTs into one target cancel, and 2**(n + 1) - 4
+    # CNOTs and 2**(n + 1) - 3 rotations are left, a y-only cascade pair
     for n in range(1, 11):
         for seed in range(3):
             rng = np.random.default_rng(100 * n + seed)
@@ -168,10 +168,18 @@ def test_pruned_real_map_keeps_the_real_closed_form():
             result = prepare(a, b)
             pruned = simplify(result.circuit, prune_atol=1e-12)
             counts = gate_counts(pruned)
-            assert counts["rot"] == 2 ** (n + 1) - 3
-            assert counts["cnot"] <= full_counts(n)["cnot"]
+            assert counts == {"cnot": 2 ** (n + 1) - 4, "rot": 2 ** (n + 1) - 3}
             out = apply_circuit(a, pruned).amplitudes
             assert np.abs(out - np.exp(1j * result.residual_phase) * b.amplitudes).max() <= 1e-12
+
+
+def test_synthesized_circuits_are_simplify_fixpoints():
+    # no two CNOTs into one target are adjacent in an unpruned result, so
+    # the block rule finds nothing and the counts stay at the closed forms
+    for n in range(1, 9):
+        a, b = random_state(n, 700 + n), random_state(n, 800 + n)
+        for result in (disentangle(a), prepare(a, b), prepare_from_basis(n % 2, b)):
+            assert simplify(result.circuit) == result.circuit
 
 
 def test_certify_prepare_at_n14():
