@@ -10,11 +10,13 @@ both call it.
 
 Both directions, and the simulator's phase tables (one stack of runs per
 control count), go through one unnormalized Walsh-Hadamard transform,
-``_fwht``. It applies the 4x4 +-1 Hadamard matrix along each 2-bit group
-of the index as a matrix product, and a 2x2 one to the top bit when k is
-odd. Each output of a 4x4 block sums at most two equal terms per sign, so
-a constant input transforms to exact zeros past entry 0 in whatever order
-the product sums.
+``_fwht``. It applies the 4x4 +-1 Hadamard matrix H along each 2-bit group
+of the index as a matrix product, bits 2-3 as one 16-column ``kron(H, I4)``,
+and a 2x2 one to the top bit when k is odd. Each output sums four nonzero
+terms, at most two equal ones per sign, so a constant input transforms to
+exact zeros past entry 0 in whatever order the product sums; a 16x16
+Hadamard block sums eight and leaves residues near 1e-16. A 64-column
+``kron(H, I16)`` for bits 4-5 is slower than their stack of 4x4 products.
 """
 
 from __future__ import annotations
@@ -63,9 +65,8 @@ def _hadamard(k: int) -> np.ndarray:
     return h
 
 
-# Blocks of 4: a 16x16 block sums eight equal terms per sign and leaves
-# rounding residues of about 1e-16 times a constant input.
 _H = tuple(_hadamard(k) for k in range(3))
+_H_BITS_2_3 = np.kron(_H[2], np.eye(4))
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:
@@ -74,15 +75,20 @@ def _fwht(values: np.ndarray) -> np.ndarray:
 
     ``values`` is C-contiguous with a last axis of length 2**k and is not
     modified; leading axes are a stack of independent inputs. Index bits
-    0-1 go through one (rows, 4) @ H product; every further 2-bit group is
-    a stack of H @ (4, low) products, and an odd top bit a 2x2 one.
+    0-1 go through one (rows, 4) @ H product and bits 2-3 through one
+    (rows, 16) @ kron(H, I4), whose other twelve terms per output are exact
+    zeros; every further 2-bit group is a stack of H @ (4, low) products
+    (a wider Kronecker product is slower), and an odd top bit a 2x2 one.
     """
     k = values.shape[-1].bit_length() - 1
     if k < 2:
         return values @ _H[k]
     out = values.reshape(-1, 4) @ _H[2]
     low = 4
-    for _ in range(k // 2 - 1):
+    if k >= 4:
+        out = out.reshape(-1, 16) @ _H_BITS_2_3
+        low = 16
+    while low << 2 <= 1 << k:
         out = _H[2] @ out.reshape(-1, 4, low)
         low <<= 2
     if k % 2:
@@ -111,7 +117,7 @@ def alpha_to_theta(alpha: np.ndarray) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=np.float64)
     k = _check_power_of_two(alpha)
     theta = _fwht(alpha)[gray_permutation(k)]
-    theta /= 1 << k
+    theta *= 0.5**k
     return theta
 
 

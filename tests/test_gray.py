@@ -13,7 +13,7 @@ from ucrsynth import (
     sign_matrix,
     theta_to_alpha,
 )
-from ucrsynth.gray import _fwht
+from ucrsynth.gray import _fwht, _hadamard
 
 
 def test_gray_first_values():
@@ -155,7 +155,7 @@ def test_round_trip_large_k():
 
 
 @settings(deadline=None, max_examples=30)
-@given(st.integers(0, 9), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@given(st.integers(0, 13), st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_fwht_transforms_a_stack_row_by_row(k, rows, seed):
     # the simulator transforms every run with k controls as one stack
     stack = np.random.default_rng(seed).uniform(-math.pi, math.pi, (rows, 1 << k))
@@ -165,3 +165,30 @@ def test_fwht_transforms_a_stack_row_by_row(k, rows, seed):
     assert np.array_equal(stack, before)
     for row, got in zip(stack, out):
         assert np.abs(got - _fwht(row)).max() <= 1e-12
+
+
+def test_constant_levels_transform_to_exact_zeros():
+    # every k from the one-block kernels up through both product stages and
+    # the stacked ones: a constant level is one rotation, the rest exact zeros
+    levels = (0.1, -2.7, math.pi / 3, 1e-300, -0.0)
+    for k in range(17):
+        for level in levels:
+            row = np.full(1 << k, level)
+            assert np.all(_fwht(row)[1:] == 0.0), (k, level)
+            assert np.all(alpha_to_theta(row)[1:] == 0.0), (k, level)
+        for rows in range(1, 6):
+            stack = np.repeat(np.array(levels[:rows])[:, None], 1 << k, axis=1)
+            out = _fwht(stack)
+            assert np.all(out[:, 1:] == 0.0), (k, rows)
+            assert np.array_equal(out[:, 0], [_fwht(row)[0] for row in stack])
+
+
+def test_fwht_matches_the_dense_hadamard_product():
+    rng = np.random.default_rng(6)
+    for k in range(13):
+        dense = _hadamard(k)
+        for scale in (1e-3, 1.0, 1e6):
+            row = rng.uniform(-scale, scale, 1 << k)
+            assert np.abs(_fwht(row) - row @ dense).max() <= 1e-12 * scale, (k, scale)
+            stack = rng.uniform(-scale, scale, (3, 1 << k))
+            assert np.abs(_fwht(stack) - stack @ dense).max() <= 1e-12 * scale, (k, scale)
