@@ -33,6 +33,10 @@ class Axis:
     az: float
 
     def __post_init__(self):
+        if not _instances((self.ay, self.az), Real):
+            raise ValueError(f"axis ({self.ay!r}, {self.az!r}) has a non-real component")
+        object.__setattr__(self, "ay", float(self.ay))
+        object.__setattr__(self, "az", float(self.az))
         if not (math.isfinite(self.ay) and math.isfinite(self.az)):
             raise ValueError(f"axis ({self.ay}, {self.az}) is not finite")
         if abs(self.ay * self.ay + self.az * self.az - 1.0) > AXIS_ATOL:
@@ -95,6 +99,8 @@ class UcrGate:
 
     def __post_init__(self):
         object.__setattr__(self, "angles", np.asarray(self.angles, dtype=np.float64))
+        if not isinstance(self.axis, Axis):
+            raise ValueError(f"UCR axis must be an Axis, got {self.axis!r}")
         if not _instances((self.target, *self.controls), Integral):
             raise ValueError(f"UCR qubits must be integers, got {self.controls} -> {self.target}")
         if self.target in self.controls:

@@ -3,10 +3,9 @@
 Floats are serialized with Python's shortest round-trip repr, so a parsed
 document reproduces the original doubles bit for bit. Syntax errors carry
 line:column anchors; structural errors carry the offending field path.
-Readers check and build whole columns. A circuit file is checked in order: its
-records' fields, metadata, then by Circuit._check n >= 1, qubits within int32,
-CNOT control != target, qubits in 1..n and finite angles; a record pass words the
-first record at fault, and runs before any refusal, so such a record is reported first.
+The state reader checks and builds whole columns. The circuit reader reads each
+record once, in order, and refuses the first record at fault with its field path;
+then metadata, then by Circuit._check n >= 1, qubits within int32 and in 1..n.
 """
 
 from __future__ import annotations
@@ -138,46 +137,25 @@ def dump_circuit(c: Circuit, metadata: dict | None = None) -> str:
     return '{"n": %s, "gates": [%s]%s}\n' % (json.dumps(c.n), ", ".join(records), tail)
 
 
-def _gate_columns(records: list) -> tuple | None:
-    """The gate columns, qubits as the ints read; None iff a record's fields are malformed."""
-    try:
-        kinds = [r["type"] for r in records]
-        cnot = np.array([k == "cnot" for k in kinds], dtype=bool)
-        rots = [r for r, k in zip(records, kinds) if k == "rot"]
-        control = [r["control"] if k == "cnot" else 0 for r, k in zip(records, kinds)]
-        target = [r["target"] for r in records]
-        angle, spelling = [r["angle"] for r in rots], [r["axis"] for r in rots]
-        types = set(map(type, control + target)) | set(map(type, angle)) - {float}
-        if cnot.sum() + len(rots) < len(records) or not types <= {int}:
-            return None
-        # one _axis_from_json per distinct spelling; repr tells 1 from 1.0 and True
-        keys, axes, index = list(map(repr, spelling)), {}, {}
-        for key, value in dict(zip(keys, spelling)).items():
-            index[key] = axes.setdefault(_axis_from_json(value, "", ""), len(axes))
-        axis, angles = np.zeros(len(records), np.int32), np.zeros(len(records))
-        axis[~cnot], angles[~cnot] = [index[k] for k in keys], angle
-    except (KeyError, TypeError, OverflowError, ParseError):
-        return None
-    return cnot, control, target, axis, tuple(axes), angles
-
-
-def _word_gate_error(records: list, label: str) -> None:
-    """Raise the error of the first record at fault, if any: one is if _gate_columns is None."""
-    for i, rec in enumerate(records):
-        path = f"gates[{i}]"
-        kind = _get(rec, "type", str, label, f"{path}.type")
-        if kind == "cnot":
-            c = _get(rec, "control", int, label, f"{path}.control")
-            if c == _get(rec, "target", int, label, f"{path}.target"):
-                raise ParseError(f"{label}: {path}: cnot control and target coincide on qubit {c}")
-        elif kind == "rot":
-            _axis_from_json(rec.get("axis"), label, f"{path}.axis")
-            _get(rec, "target", int, label, f"{path}.target")
-            value = _get(rec, "angle", float, label, f"{path}.angle")
-            if not math.isfinite(value):
-                raise ParseError(f"{label}: {path}.angle: expected a finite number, got {value!r}")
-        else:
-            raise ParseError(f"{label}: {path}.type: unknown gate type {kind!r}")
+def _record(rec, i: int, label: str, axes: dict[Axis, int]) -> tuple:
+    """Record i as its row (cnot, control, target, axis id in axes, angle), or
+    its ParseError with the field path: the one rule for a gate record."""
+    path = f"gates[{i}]"
+    kind = _get(rec, "type", str, label, f"{path}.type")
+    if kind == "cnot":
+        c = _get(rec, "control", int, label, f"{path}.control")
+        t = _get(rec, "target", int, label, f"{path}.target")
+        if c == t:
+            raise ParseError(f"{label}: {path}: cnot control and target coincide on qubit {c}")
+        return True, c, t, 0, 0.0
+    if kind != "rot":
+        raise ParseError(f"{label}: {path}.type: unknown gate type {kind!r}")
+    axis = _axis_from_json(rec.get("axis"), label, f"{path}.axis")
+    t = _get(rec, "target", int, label, f"{path}.target")
+    value = _get(rec, "angle", float, label, f"{path}.angle")
+    if not math.isfinite(value):
+        raise ParseError(f"{label}: {path}.angle: expected a finite number, got {value!r}")
+    return False, 0, t, axes.setdefault(axis, len(axes)), value
 
 
 def load_circuit(text: str, *, label: str = "<circuit>") -> tuple[Circuit, dict]:
@@ -185,14 +163,34 @@ def load_circuit(text: str, *, label: str = "<circuit>") -> tuple[Circuit, dict]
     data = _parse_json(text, label)
     n = _get(data, "n", int, label)
     records = _get(data, "gates", list, label)
-    columns = _gate_columns(records) or _word_gate_error(records, label)
+    cnot, control, target, axis, angle = [], [], [], [], []
+    axes, ids = {}, {}  # ids: the axis id of each "y" or "z" spelling read inline
+    for i, rec in enumerate(records):
+        row = None
+        try:  # inline, a record exactly as dump_circuit writes it for a y or z axis
+            kind, t = rec["type"], rec["target"]
+            if kind == "cnot" and type(c := rec["control"]) is type(t) is int and c != t:
+                row = True, c, t, 0, 0.0
+            elif kind == "rot" and (a := rec["axis"]) in ("y", "z") and type(t) is int:
+                value = rec["angle"]
+                if type(value) is float and math.isfinite(value):
+                    if a not in ids:
+                        ids[a] = axes.setdefault(AXIS_Y if a == "y" else AXIS_Z, len(axes))
+                    row = False, 0, t, ids[a], value
+        except (KeyError, TypeError):  # not an object, or a field missing
+            pass
+        q, c, t, a, value = row or _record(rec, i, label, axes)
+        cnot.append(q)
+        control.append(c)
+        target.append(t)
+        axis.append(a)
+        angle.append(value)
     metadata = data.get("metadata", {})
     try:
         if not isinstance(metadata, dict):
             raise ValueError("metadata: expected an object")
-        return Circuit._check(n, *columns), metadata
-    except ValueError as e:
-        _word_gate_error(records, label)  # a record at fault is reported first
+        return Circuit._check(n, cnot, control, target, axis, tuple(axes), angle), metadata
+    except ValueError as e:  # every record at fault has been reported by now
         raise ParseError(f"{label}: {e}") from e
 
 

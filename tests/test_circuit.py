@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ucrsynth import (
     AXIS_Y,
@@ -60,6 +62,16 @@ def test_axis_must_be_unit():
     assert (AXIS_Z.ay, AXIS_Z.az) == (0.0, 1.0)
 
 
+def test_axis_components_are_real_floats():
+    # Axis(True, 0) used to equal AXIS_Y, and Axis("1", 0) raised TypeError
+    for ay, az in [(True, 0), ("1", 0), (np.array(1.0), 0.0), (1.0, None), (1.0, 0j)]:
+        with pytest.raises(ValueError, match="non-real component"):
+            Axis(ay, az)
+    axis = Axis(np.float64(0.6), np.float64(-0.8))
+    assert type(axis.ay) is type(axis.az) is float
+    assert Axis(np.int64(1), 0) == AXIS_Y and type(Axis(np.int64(1), 0).ay) is float
+
+
 def test_axis_rejects_non_finite():
     for ay, az in [(math.nan, math.nan), (math.inf, 0.0), (0.0, -math.inf)]:
         with pytest.raises(ValueError, match="finite"):
@@ -104,6 +116,10 @@ def test_ucr_gate_validation():
         UcrGate((1, 1), 3, AXIS_Y, [0.1] * 4)
     with pytest.raises(ValueError):
         UcrGate((1, 2), 3, AXIS_Y, [0.1] * 3)
+    # lower_ucr used to build a circuit about axis "y", which the simulator
+    # and ucr_matrix failed on with AttributeError
+    with pytest.raises(ValueError, match="UCR axis must be an Axis, got 'y'"):
+        UcrGate((1,), 2, "y", [0.1, 0.2])
 
 
 def test_circuit_needs_a_qubit():
@@ -600,6 +616,54 @@ def test_public_constructor_checks_gate_fields():
     # numpy reals keep working
     c = Circuit(1, [Rot(AXIS_Y, 1, np.float32(0.5)), Rot(AXIS_Z, 1, np.int64(2))])
     assert c.angle.tolist() == [0.5, 2.0]
+
+
+# Gates and gate-like junk, built inside the checked call: each junk entry
+# is refused with ValueError, by Circuit or by the gate's own constructor
+VALID_GATES = [
+    lambda: Cnot(1, 2),
+    lambda: Cnot(3, 1),
+    lambda: Rot(AXIS_Y, 2, 0.5),
+    lambda: Rot(Axis(0.6, 0.8), 3, -0.0),
+    lambda: Rot(AXIS_Z, 1, np.float32(0.25)),
+]
+JUNK_GATES = [
+    lambda: 42,
+    lambda: None,
+    lambda: "cnot",
+    lambda: (1, 2),
+    lambda: Cnot(True, 2),
+    lambda: Cnot(1.0, 2),
+    lambda: Cnot(np.array(1), 2),
+    lambda: Cnot(np.array(2), np.array(2)),
+    lambda: Rot(AXIS_Y, False, 0.1),
+    lambda: Rot(AXIS_Y, 2.0, 0.1),
+    lambda: Rot(AXIS_Y, np.array(1), 0.1),
+    lambda: Rot(AXIS_Y, 2**40, 0.1),
+    lambda: Rot("y", 1, 0.1),
+    lambda: Rot([0, 1, 0], 1, 0.1),
+    lambda: Rot({"ay": 1.0}, 1, 0.1),
+    lambda: Rot(np.array([1.0, 0.0]), 1, 0.1),
+    lambda: Rot(Axis(np.array(1.0), 0.0), 1, 0.5),
+    lambda: Rot(AXIS_Y, 1, "0.1"),
+    lambda: Rot(AXIS_Y, 1, 1j),
+    lambda: Rot(AXIS_Y, 1, None),
+    lambda: Rot(AXIS_Y, 1, True),
+    lambda: Rot(AXIS_Y, 1, np.array(0.5)),
+    lambda: Rot(AXIS_Y, 1, 10**400),
+]
+
+
+@given(st.lists(st.sampled_from(VALID_GATES) | st.sampled_from(JUNK_GATES), max_size=6))
+def test_public_constructor_refuses_junk_with_value_error(makers):
+    # Circuit(1, [Rot(Axis(np.array(1.0), 0.0), 1, 0.5)]) used to raise UnboundLocalError
+    junk = any(make in JUNK_GATES for make in makers)
+    try:
+        c = Circuit(3, [make() for make in makers])
+    except ValueError:
+        assert junk
+    else:
+        assert not junk and len(c) == len(makers)
 
 
 def test_public_constructor_rejects_integers_beyond_the_columns():

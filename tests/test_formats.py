@@ -27,6 +27,7 @@ from ucrsynth import (
     load_circuit,
     load_state,
     make_state,
+    prepare,
     random_state,
     rot_matrix,
 )
@@ -272,10 +273,10 @@ def test_dump_state_handles_plain_floats():
 # --- oracles: the record-by-record readers and the json.dumps writer ---------
 #
 # These are the file boundary as it was before it read and wrote whole
-# columns, kept unchanged as independent references. The column readers must
-# return the same values for every valid document and raise ParseError with
-# the same message for every invalid one; dump_circuit must write the same
-# bytes as json.dumps.
+# columns, kept unchanged as independent references. The package's readers
+# must return the same values for every valid document and raise ParseError
+# with the same message for every invalid one; dump_circuit must write the
+# same bytes as json.dumps.
 
 
 def load_state_records(text: str, *, label: str = "<state>", normalize: bool = False) -> StateVector:
@@ -486,9 +487,7 @@ def read_outcome(read, text: str):
 def test_column_reader_equals_record_reader_on_valid_documents(doc):
     text = json.dumps(doc)
     want, want_metadata = load_circuit_records(text)
-    # a valid document never reaches the per-record loop
-    with mock.patch.object(formats, "_word_gate_error", side_effect=AssertionError("loop ran")):
-        got, metadata = load_circuit(text)
+    got, metadata = load_circuit(text)
     assert got == want
     assert gate_bits(got) == gate_bits(want)
     assert columns_bits(got) == columns_bits(want)
@@ -509,22 +508,53 @@ def test_column_reader_equals_record_reader_on_valid_documents(doc):
 @example({"n": 2, "gates": [{"type": "cnot", "control": 1, "target": 1}], "metadata": 7})
 @example({"n": -1, "gates": [{"type": "rot", "axis": "y", "target": 1, "angle": math.inf}]})
 @example({"n": -1, "gates": [{"type": "cnot", "control": 1, "target": 1}]})
+# records shaped as dump_circuit writes them, each with one field the writer
+# never writes: read inline, they would pass a bool as 1, miss the coincidence
+# or the infinite angle, or spell a new axis or gate type
+@example({"n": 2, "gates": [{"type": "cnot", "control": True, "target": 2}]})
+@example({"n": 2, "gates": [{"type": "rot", "axis": "z", "target": True, "angle": 0.5}]})
+@example({"n": 2, "gates": [{"type": "cnot", "control": 2, "target": 2}]})
+@example({"n": 1, "gates": [{"type": "rot", "axis": "y", "target": 1, "angle": 1e400}]})
+@example({"n": 1, "gates": [{"type": "rot", "axis": "y", "target": 1, "angle": 10**400}]})
+@example({"n": 1, "gates": [{"type": "rot", "axis": "Y", "target": 1, "angle": 0.5}]})
+@example({"n": 1, "gates": [{"type": "rot ", "axis": "y", "target": 1, "angle": 0.5}]})
 def test_column_reader_words_errors_like_record_reader(doc):
     text = json.dumps(doc)
     assert read_outcome(load_circuit, text) == read_outcome(load_circuit_records, text)
 
 
-@settings(deadline=None, max_examples=300)
-@given(mutated_circuit_documents())
-@example({"n": 1, "gates": [{"type": "rot", "axis": "y", "target": 0, "angle": 1}]})
-@example({"n": 2, "gates": [{"type": "cnot", "control": 2**40, "target": 1}]})
-def test_column_reader_refuses_only_what_the_wording_pass_words(doc):
-    # load_circuit relies on this where the column pass refuses. After a
-    # later refusal (metadata, or Circuit._check) the wording pass may find
-    # no record at fault and return, and then that refusal stands
-    if formats._gate_columns(doc["gates"]) is None:
-        with pytest.raises(ParseError):
-            formats._word_gate_error(doc["gates"], "c.json")
+@st.composite
+def yz_circuits(draw):
+    """Circuits about the y and z axes only, with signed zero angles among the rest."""
+    c = draw(circuits())
+    gates = []
+    for g in c.gates:
+        if isinstance(g, Rot):
+            angle = draw(st.sampled_from([g.angle, 0.0, -0.0]))
+            g = Rot(draw(st.sampled_from([AXIS_Y, AXIS_Z])), g.target, angle)
+        gates.append(g)
+    return Circuit(c.n, gates)
+
+
+def load_inline(c: Circuit) -> Circuit:
+    """c through dump_circuit and load_circuit, failing if a record reaches _record."""
+    text = dump_circuit(c, {"residual_phase": -0.0})
+    with mock.patch.object(formats, "_record", side_effect=AssertionError("not read inline")):
+        back, _ = load_circuit(text)
+    return back
+
+
+@settings(deadline=None)
+@given(yz_circuits())
+def test_writer_records_are_read_inline(c):
+    back = load_inline(c)
+    assert columns_bits(back) == columns_bits(c)
+
+
+def test_synthesized_circuit_is_read_inline():
+    c = prepare(random_state(10, 10), random_state(10, 11)).circuit
+    assert set(c.axes) == {AXIS_Y, AXIS_Z}
+    assert columns_bits(load_inline(c)) == columns_bits(c)
 
 
 @settings(deadline=None)
