@@ -35,8 +35,11 @@ class Axis:
     def __post_init__(self):
         if not _instances((self.ay, self.az), Real):
             raise ValueError(f"axis ({self.ay!r}, {self.az!r}) has a non-real component")
-        object.__setattr__(self, "ay", float(self.ay))
-        object.__setattr__(self, "az", float(self.az))
+        try:
+            object.__setattr__(self, "ay", float(self.ay))
+            object.__setattr__(self, "az", float(self.az))
+        except OverflowError:
+            raise ValueError("axis has a component beyond the float range") from None
         if not (math.isfinite(self.ay) and math.isfinite(self.az)):
             raise ValueError(f"axis ({self.ay}, {self.az}) is not finite")
         if abs(self.ay * self.ay + self.az * self.az - 1.0) > AXIS_ATOL:
@@ -98,7 +101,17 @@ class UcrGate:
     angles: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "angles", np.asarray(self.angles, dtype=np.float64))
+        try:
+            object.__setattr__(self, "controls", tuple(self.controls))
+        except TypeError:
+            raise ValueError(f"UCR controls must be an iterable, got {self.controls!r}") from None
+        angles = np.array(self.angles, dtype=object)
+        if not _instances(angles.flat, Real):
+            raise ValueError("UCR angles must be real numbers: ints or floats, not bools")
+        try:
+            object.__setattr__(self, "angles", angles.astype(np.float64))
+        except OverflowError:
+            raise ValueError("UCR angles must lie within the float range") from None
         if not isinstance(self.axis, Axis):
             raise ValueError(f"UCR axis must be an Axis, got {self.axis!r}")
         if not _instances((self.target, *self.controls), Integral):

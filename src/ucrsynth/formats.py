@@ -3,14 +3,14 @@
 Floats are serialized with Python's shortest round-trip repr, so a parsed
 document reproduces the original doubles bit for bit. Syntax errors carry
 line:column anchors; structural errors carry the offending field path.
-The state reader checks and builds whole columns. The circuit reader reads each
-record once, in order, and refuses the first record at fault with its field path;
-then metadata, then by Circuit._check n >= 1, qubits within int32 and in 1..n.
+Both readers read each item once, in order: inline if it is as the writer wrote it,
+else by one rule that returns its values or raises its error with the field path.
+The circuit reader then checks metadata, then by Circuit._check n >= 1, qubits
+within int32 and in 1..n.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from typing import Any
@@ -61,33 +61,31 @@ def dump_state(x: StateVector) -> str:
     return json.dumps({"n": x.n, "amplitudes": pairs}, allow_nan=False) + "\n"
 
 
+def _pair(entry, i: int, label: str) -> tuple[float, float]:
+    """Amplitude i as its two floats, or its ParseError: the one rule for a pair."""
+    where = f"{label}: amplitudes[{i}]"
+    ok = isinstance(entry, list) and len(entry) == 2
+    if not (ok and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)):
+        raise ParseError(f"{where}: expected a [re, im] number pair, got {entry!r}")
+    try:
+        return float(entry[0]), float(entry[1])
+    except OverflowError:
+        raise ParseError(f"{where}: integer beyond the float range") from None
+
+
 def load_state(text: str, *, label: str = "<state>", normalize: bool = False) -> StateVector:
     """Parse a state document: n, amplitudes as [re, im] pairs, optional
     normalize flag (the keyword argument forces normalization either way)."""
     data = _parse_json(text, label)
     n = _get(data, "n", int, label)
     raw = _get(data, "amplitudes", list, label)
-    amps = None
-    if set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}:
-        values = [v for pair in raw for v in pair]
-        if set(map(type, values)) <= {int, float}:
-            with contextlib.suppress(OverflowError):
-                amps = np.array(values, dtype=np.float64).view(np.complex128)
-    if amps is None:  # some entry is malformed: word the first
-        for i, entry in enumerate(raw):
-            ok = (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-            )
-            if not ok:
-                raise ParseError(
-                    f"{label}: amplitudes[{i}]: expected a [re, im] number pair, got {entry!r}"
-                )
-            try:
-                complex(*entry)
-            except OverflowError:
-                raise ParseError(f"{label}: amplitudes[{i}]: integer beyond the float range") from None
+    values = []
+    for i, entry in enumerate(raw):
+        if type(entry) is list and len(entry) == 2 and type(entry[0]) is type(entry[1]) is float:
+            values += entry  # inline, a pair exactly as dump_state writes it
+        else:
+            values += _pair(entry, i, label)
+    amps = np.array(values, dtype=np.float64).view(np.complex128)
     if "normalize" in data:
         flag = data["normalize"]
         if not isinstance(flag, bool):

@@ -70,6 +70,9 @@ def test_axis_components_are_real_floats():
     axis = Axis(np.float64(0.6), np.float64(-0.8))
     assert type(axis.ay) is type(axis.az) is float
     assert Axis(np.int64(1), 0) == AXIS_Y and type(Axis(np.int64(1), 0).ay) is float
+    # this raised OverflowError from float()
+    with pytest.raises(ValueError, match="axis has a component beyond the float range"):
+        Axis(10**400, 0)
 
 
 def test_axis_rejects_non_finite():
@@ -120,6 +123,19 @@ def test_ucr_gate_validation():
     # and ucr_matrix failed on with AttributeError
     with pytest.raises(ValueError, match="UCR axis must be an Axis, got 'y'"):
         UcrGate((1,), 2, "y", [0.1, 0.2])
+    # each raised TypeError or OverflowError, or was accepted
+    with pytest.raises(ValueError, match="UCR controls must be an iterable, got 1"):
+        UcrGate(1, 2, AXIS_Y, [0.1, 0.2])
+    for angles in ([1j, 0], ["0.1", "0.2"], [True, False], [b"1", b"2"], [1, True], np.ones(2, bool)):
+        with pytest.raises(ValueError, match="UCR angles must be real numbers"):
+            UcrGate((1,), 2, AXIS_Y, angles)
+    with pytest.raises(ValueError, match="UCR angles must lie within the float range"):
+        UcrGate((1,), 2, AXIS_Y, [10**400, 0])
+    # list controls used to give a gate whose hash raised TypeError
+    g = UcrGate([1], 2, AXIS_Y, [0.1, 0.2])
+    assert g.controls == (1,) and hash(g) == hash(UcrGate((1,), 2, AXIS_Y, [0.3, 0.4]))
+    g = UcrGate(iter([np.int64(1), 3]), 2, AXIS_Y, [np.float32(0.5), 1, np.int8(2), 0.25])
+    assert g.controls == (1, 3) and g.angles.tolist() == [0.5, 1.0, 2.0, 0.25]
 
 
 def test_circuit_needs_a_qubit():

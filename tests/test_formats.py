@@ -612,7 +612,28 @@ def state_outcome(read, text: str, normalize: bool):
 @example({"n": 1, "amplitudes": [[10**30, 0], [1, 2**53 + 1]]}, True)
 @example({"n": 1, "amplitudes": [[1, 0], [True, 0]]}, False)
 @example({"n": 2, "amplitudes": []}, False)
+# entries close to the writer's shape that must still reach the rule
+@example({"n": 1, "amplitudes": [[1.0, 0.0], [1.0, True]]}, False)
+@example({"n": 1, "amplitudes": [[1.0, 0.0], [True, 1.0]]}, False)
+@example({"n": 1, "amplitudes": [[1.0, 0.0], [1.0, 2]]}, True)
+@example({"n": 1, "amplitudes": [[1.0, 0.0], [1.0, 10**400]]}, False)
+@example({"n": 1, "amplitudes": [[1.0, 0.0], [1.0, 2.0, 3.0]]}, False)
 def test_state_reader_equals_record_reader(doc, normalize):
     text = json.dumps(doc)
     got = state_outcome(load_state, text, normalize)
     assert got == state_outcome(load_state_records, text, normalize)
+
+
+def test_writer_pairs_are_read_inline():
+    # the rule raises, so a pair as dump_state writes it never leaves the inline read
+    rule = mock.patch.object(formats, "_pair", side_effect=AssertionError("left the inline read"))
+    for n in range(1, 13):
+        parts = random_state(n, n).amplitudes.view(np.float64).copy()
+        parts[1], parts[-2], parts[-1] = -0.0, -1e-310, 5e-324  # a signed zero, subnormals
+        x = make_state(n, parts.view(np.complex128), normalize=True)
+        with rule:
+            y = load_state(dump_state(x))
+        assert y.amplitudes.tobytes() == x.amplitudes.tobytes()
+        got = y.amplitudes.view(np.float64)
+        assert got[1] == 0 and math.copysign(1.0, got[1]) == -1.0
+        assert 0 < -got[-2] < 1e-307 and 0 < got[-1] < 1e-307
