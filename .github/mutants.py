@@ -1,17 +1,16 @@
 """Mutant catalogue: each entry breaks src/ucrsynth in one place, and the
 tests it names must fail on the broken copy.
 
-    python .github/mutants.py [NAME ...]
+    python .github/mutants.py
 
-Run from the repository root. For each entry (or each named one), src/ is
-copied to a temporary directory, the entry's old text is replaced by its new
-text there, and pytest runs the entry's tests with -x and PYTHONPATH on the
-copy. Hypothesis runs only explicit @examples, so a kill never rests on a
-drawn input. The listed tests first run once on an unbroken copy and must
-pass. Exit 0 when every mutant is killed; exit 1 when one survives, when an
-entry's old text does not occur exactly once in its file, or when the
-unbroken copy fails. The catalogue only grows: an entry leaves when the code
-it mutates is gone.
+Run from the repository root. For each entry, src/ is copied to a temporary
+directory, the entry's old text is replaced by its new text there, and
+pytest runs the entry's tests with -x and PYTHONPATH on the copy. Hypothesis
+runs only explicit @examples, so a kill never rests on a drawn input. The
+listed tests first run once on an unbroken copy and must pass. Exit 0 when
+every mutant is killed; exit 1 when one survives, when an entry's old text
+does not occur exactly once in its file, or when the unbroken copy fails.
+The catalogue only grows: an entry leaves when the code it mutates is gone.
 """
 
 import os
@@ -239,22 +238,17 @@ def pytest_in(copy: Path, tests) -> int:
     return subprocess.run(command, cwd=ROOT, env=env, capture_output=True).returncode
 
 
-def main(names) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__")
         shutil.copytree(ROOT / "src", copy / "src", ignore=ignore)
-        tests = sorted({t for m in chosen for t in m.tests})
+        tests = sorted({t for m in MUTANTS for t in m.tests})
         if pytest_in(copy, tests):
             print(f"the listed tests fail on the unbroken package: {tests}")
             return 1
-        for m in chosen:
+        for m in MUTANTS:
             path = copy / "src" / "ucrsynth" / m.file
             text = path.read_text()
             if text.count(m.old) != 1:
@@ -271,9 +265,9 @@ def main(names) -> int:
             print(f"{m.name}: {verdict} ({time.perf_counter() - start:.1f} s)")
             if code != 1:
                 failed.append(m.name)
-    print(f"{len(chosen) - len(failed)}/{len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - len(failed)}/{len(MUTANTS)} mutants killed")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

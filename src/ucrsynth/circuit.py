@@ -108,10 +108,9 @@ class UcrGate:
         angles = np.array(self.angles, dtype=object)
         if not _instances(angles.flat, Real):
             raise ValueError("UCR angles must be real numbers: ints or floats, not bools")
-        try:
-            object.__setattr__(self, "angles", angles.astype(np.float64))
-        except OverflowError:
-            raise ValueError("UCR angles must lie within the float range") from None
+        object.__setattr__(
+            self, "angles", _column(angles, np.float64, "UCR angles must lie within the float range")
+        )
         if not isinstance(self.axis, Axis):
             raise ValueError(f"UCR axis must be an Axis, got {self.axis!r}")
         if not _instances((self.target, *self.controls), Integral):

@@ -136,6 +136,7 @@ def test_ucr_gate_validation():
     assert g.controls == (1,) and hash(g) == hash(UcrGate((1,), 2, AXIS_Y, [0.3, 0.4]))
     g = UcrGate(iter([np.int64(1), 3]), 2, AXIS_Y, [np.float32(0.5), 1, np.int8(2), 0.25])
     assert g.controls == (1, 3) and g.angles.tolist() == [0.5, 1.0, 2.0, 0.25]
+    assert not g.angles.flags.writeable
 
 
 def test_circuit_needs_a_qubit():
