@@ -188,13 +188,41 @@ MUTANTS = [
         "rot = self.angle[self.control == 0]",
         (SIM + "test_equal_circuits_hash_alike",),
     ),
+    Mutant(
+        "stack-key-never-widened",
+        "circuit.py",
+        "if (max(c.n, len(c.axes)) + 1) * span >= 2**31:",
+        "if False:",
+        (SIM + "test_simplify_matches_gate_object_oracle",),
+    ),
     # the fused simulator
     Mutant(
-        "flipped-run-bits-in-normal-order",
+        "batched-y-matrix-signs-swapped",
         "sim.py",
-        "enumerate(reversed(bits_j) if flipped else bits_j)",
-        "enumerate(bits_j)",
-        (SIM + "test_apply_ucr_matches_lowered_circuit",),
+        "np.stack((cos_h, ys, -ys, cos_h), axis=1)",
+        "np.stack((cos_h, -ys, ys, cos_h), axis=1)",
+        (SIM + "test_apply_circuit_matches_per_gate_fold",),
+    ),
+    Mutant(
+        "batched-z-diagonal-unconjugated",
+        "sim.py",
+        "np.stack((r00, r00.conj()), axis=1)",
+        "np.stack((r00, r00), axis=1)",
+        (SIM + "test_apply_circuit_matches_per_gate_fold",),
+    ),
+    Mutant(
+        "batched-y-buffers-not-swapped",
+        "sim.py",
+        "                flat, spare = spare, flat\n",
+        "",
+        (SIM + "test_apply_circuit_matches_per_gate_fold",),
+    ),
+    Mutant(
+        "control-below-target-batched",
+        "sim.py",
+        "batched = all(ax < t_axis for ax in axes)",
+        "batched = not all(ax < t_axis for ax in axes)",
+        (SIM + "test_apply_circuit_matches_per_gate_fold",),
     ),
     Mutant(
         "closing-swaps-dropped",

@@ -25,21 +25,23 @@ Each z/y UCR pair of a synthesized cascade shares its target and controls
 and its mask cancels over the pair, so no run of a synthesized circuit
 closes with swaps. A mask that is left is one CNOT swap per control.
 
-A run with rotations whose target has more index bits above it than below
-runs on a bit-reversed copy of the amplitudes, qubit q on axis n - q,
-where its controls are the low, contiguous bits and numpy's inner loops
-are long. Its rotations gather their control bits in reversed order, so
-that its phase table too reshapes straight onto the control axes. A
-layout switch is one transposed copy into one spare buffer; a ``prepare``
-circuit switches four times.
+A UCR is block-diagonal, one 2x2 rotation per control pattern. A run whose
+controls all sit above its target (every run of a synthesized circuit)
+views the amplitudes as (pattern axes..., 2, rest) and is one numpy call:
+a y run one ``np.matmul`` of its per-pattern real matrices
+[[c, ay s], [-ay s, c]] with the float64 view of the amplitudes, written
+into a spare buffer that then trades places with them, and a z run one
+in-place multiply by its per-pattern diagonal (c + i az s, c - i az s).
+Any other run, with a control below its target or about a general y-z
+axis, takes the general form: one in-place pass over the amplitude pairs.
 
 Only the angles change between results of one gate layout, so a pass has
 two steps. ``_run_plan`` reads the control, target and axis columns and
-returns the runs, each with its layout, closing swaps and pair-view
+returns the runs, each with its form, closing swaps and phase-table
 shape, and every rotation's slot in one phase table, where the runs are
 stacked by control count k. A call then bins all angles with one bincount,
 transforms each k's stack once and takes one cos and one sin; per run it
-makes only one in-place pass over the amplitude pairs and the swaps.
+makes only its one product or pass and the swaps.
 Every circuit reaches its plan through one cache of the 16 most recently
 used, keyed by n_bits and the three columns, so the results of a skeleton
 and pruned or loaded circuits with equal columns share one plan. A plan
@@ -96,15 +98,14 @@ def _cnot(amps: np.ndarray, c_pos: int, t_pos: int) -> None:
 
 
 class _Run(NamedTuple):
-    """One run of a plan, on its layout: qubit q is axis q - 1 of the
-    (2,) * n_bits view, or axis n_bits - q if flipped; in both, axis i is
-    flat index bit n_bits - 1 - i."""
+    """One run of a plan on the (2,) * n_bits view of the amplitudes, where
+    qubit q is axis q - 1 and axis i is flat index bit n_bits - 1 - i."""
 
-    flipped: bool  # runs on the bit-reversed layout
     t_axis: int  # the target's axis
     axis: int | None  # index into the circuit's axes, None without rotations
     slots: slice | None  # its phase table, None without rotations
-    shape: tuple[int, ...]  # the pair-view shape of its phase table
+    shape: tuple[int, ...]  # its phase table's shape on the axes other than the target's
+    batched: bool  # every control is above the target: y and z runs take the batched form
     swaps: tuple[int, ...]  # flat index bit of each control of its closing CNOTs
 
 
@@ -130,9 +131,8 @@ def _run_plan(c: Circuit, n_bits: int) -> _Plan:
     stack.
 
     ``applied`` is the control mask whose swaps the amplitudes have had;
-    the fold and the layout rule are in the module docstring. A run without
-    rotations keeps the layout in force, and is dropped if its closing
-    swaps were folded away.
+    the fold and the two forms are in the module docstring. A run without
+    rotations is dropped if its closing swaps were folded away.
     """
     new_run = np.ones(len(c), dtype=bool)
     new_run[1:] = c.target[1:] != c.target[:-1]
@@ -160,7 +160,7 @@ def _run_plan(c: Circuit, n_bits: int) -> _Plan:
     masks = mask[rots]
     bucket = np.empty(rots.size, dtype=np.int32)
     targets = c.target[starts].tolist()
-    runs, applied, flipped = [], 0, False
+    runs, applied = [], 0
     for j, (t, start, end) in enumerate(zip(targets, bounds, bounds[1:])):
         base, close = applied, after[j] ^ applied
         if j + 1 < len(targets) and targets[j + 1] == t and not close & ~used[j + 1]:
@@ -168,33 +168,27 @@ def _run_plan(c: Circuit, n_bits: int) -> _Plan:
         applied ^= close
         if start == end and not close:
             continue
-        if start < end:
-            flipped = t - 1 > n_bits - t
-        bits_j = [b for b in range(n_bits) if used[j] >> b & 1]
-        # the layout's axis of each control; its flat index bit is n_bits - 1 - axis
-        t_axis = n_bits - t if flipped else t - 1
-        axes = bits_j if flipped else [n_bits - 1 - b for b in bits_j]
-        swaps = ()
-        if close:
-            swaps = tuple(n_bits - 1 - ax for ax, b in zip(axes, bits_j) if close >> b & 1)
+        t_axis, bits_j = t - 1, [b for b in range(n_bits) if used[j] >> b & 1]
+        swaps = tuple(b for b in bits_j if close >> b & 1)
         if start == end:
-            runs.append(_Run(flipped, t_axis, None, None, (), swaps))
+            runs.append(_Run(t_axis, None, None, (), False, swaps))
             continue
         # a rotation's slot is the run's first slot plus its control bits,
-        # gathered from the layout's lowest index bit up, so the (2,) * k
-        # table reshapes straight onto the control axes; on the bit-reversed
-        # layout that is the controls in reversed order
+        # gathered from the lowest index bit up, so the (2,) * k table
+        # reshapes straight onto the control axes
         m = masks[start:end] ^ base
         slot = np.full(m.size, first[j], dtype=np.int64)
-        for i, b in enumerate(reversed(bits_j) if flipped else bits_j):
+        for i, b in enumerate(bits_j):
             slot += ((m >> b) & 1) << i
         bucket[start:end] = slot
         # the target axis drops out of the pair views
+        axes = [n_bits - 1 - b for b in bits_j]
         shape = [1] * (n_bits - 1)
         for ax in axes:
             shape[ax - (ax > t_axis)] = 2
         slots = slice(first[j], first[j] + (1 << k[j]))
-        runs.append(_Run(flipped, t_axis, int(c.axis[rots[start]]), slots, tuple(shape), swaps))
+        batched = all(ax < t_axis for ax in axes)
+        runs.append(_Run(t_axis, int(c.axis[rots[start]]), slots, tuple(shape), batched, swaps))
     return _Plan(rots.astype(np.int32), bucket, size, tuple(groups), tuple(runs))
 
 
@@ -215,10 +209,10 @@ def _apply_fused(amps: np.ndarray, c: Circuit, n_bits: int) -> None:
     """Run c over amps (2**n_bits entries, qubit q on axis q - 1) run by run.
 
     Every run's phase table comes out of one bincount, one transform per
-    control count and one cos and sin; then each run is one in-place pass
-    over the amplitude pairs and its closing swaps. The runs on the
-    bit-reversed layout work on a transposed copy in one spare buffer;
-    each layout switch is one transposed copy.
+    control count and one cos and sin; then each run is one numpy product
+    in the batched form, or one in-place pass over the amplitude pairs in
+    the general form, and its closing swaps. A batched y run writes into a
+    spare buffer, which then trades places with the amplitudes.
     """
     if not len(c):
         return
@@ -227,44 +221,41 @@ def _apply_fused(amps: np.ndarray, c: Circuit, n_bits: int) -> None:
     for k, lo, hi in plan.groups:
         half[lo:hi] = _fwht(half[lo:hi].reshape(-1, 1 << k)).reshape(-1)
     cos, sin = np.cos(half), np.sin(half)
-    cube = (2,) * n_bits
-    flat, spare = amps, None  # flat is amps or, on the bit-reversed layout, spare
-    for flipped, t_axis, a, slots, shape, swaps in plan.runs:
-        if flipped != (flat is spare):
-            if spare is None:
-                spare = np.empty_like(amps)
-            into = amps if flat is spare else spare
-            np.copyto(into.reshape(cube), flat.reshape(cube).T)
-            flat = into
+    flat, spare = amps, np.empty_like(amps)
+    for t_axis, a, slots, shape, batched, swaps in plan.runs:
         if a is not None:
-            cos_h = cos[slots].reshape(shape)
-            sin_h = sin[slots].reshape(shape)
+            cos_h, sin_h = cos[slots], sin[slots]
             axis = c.axes[a]
-            view = flat.reshape(cube)
-            lead = (slice(None),) * t_axis
-            a0 = view[lead + (0, ...)]
-            a1 = view[lead + (1, ...)]
-            if axis.az:
+            # batched: (pattern axes..., 2, rest) with one 2x2 matrix per pattern
+            pattern, cut = shape[:t_axis], (2,) * t_axis + (2, -1)
+            if batched and not axis.az:
+                ys = axis.ay * sin_h
+                m = np.stack((cos_h, ys, -ys, cos_h), axis=1).reshape(pattern + (2, 2))
+                # real matrices act on the real and imaginary parts alike
+                np.matmul(m, flat.view(np.float64).reshape(cut),
+                          out=spare.view(np.float64).reshape(cut))
+                flat, spare = spare, flat
+            elif batched and not axis.ay:
                 r00 = cos_h + 1j * (axis.az * sin_h)
-                r11 = r00.conj()
-            else:
-                r00 = r11 = cos_h
-            if axis.ay:
+                view = flat.reshape(cut)
+                view *= np.stack((r00, r00.conj()), axis=1).reshape(pattern + (2, 1))
+            else:  # the general form: one in-place pass over the amplitude pairs
+                cos_h, sin_h = cos_h.reshape(shape), sin_h.reshape(shape)
+                view = flat.reshape((2,) * n_bits)
+                lead = (slice(None),) * t_axis
+                a0, a1 = view[lead + (0, ...)], view[lead + (1, ...)]
+                r00 = cos_h + 1j * (axis.az * sin_h)
                 r01 = axis.ay * sin_h
-                off0 = a1 * r01
-                off1 = a0 * r01
+                off0, off1 = a1 * r01, a0 * r01
                 a0 *= r00
                 a0 += off0
-                a1 *= r11
+                a1 *= r00.conj()
                 a1 -= off1
-            else:
-                a0 *= r00
-                a1 *= r11
         # X**parity(p & mask) on the target is one CNOT per control in mask
         for b in swaps:
             _cnot(flat, b, n_bits - 1 - t_axis)
-    if flat is spare:
-        np.copyto(amps.reshape(cube), spare.reshape(cube).T)
+    if flat is not amps:
+        amps[...] = flat
 
 
 def apply_gate(x: StateVector, g: Gate) -> StateVector:

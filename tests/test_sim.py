@@ -58,7 +58,8 @@ def test_cnot_truth_table():
 
 
 def test_cnot_swaps_pairs_at_every_bit_pair():
-    # the bit-reversed layout calls _cnot with mirrored positions
+    # closing swaps and apply_gate call _cnot with the control's bit above
+    # or below the target's
     n = 5
     amps = random_state(n, 4).amplitudes
     index = np.arange(1 << n)
@@ -244,11 +245,22 @@ def test_cnot_only_run_leaves_its_swaps_to_the_next_run():
     assert [(run.axis, run.swaps) for run in runs] == [(0, ()), (1, ())]
 
 
+# a y run whose control sits below its target takes the general form; the
+# z run after it has no controls and takes the batched form
+CONTROL_BELOW = Circuit(2, (Cnot(2, 1), Rot(AXIS_Y, 1, 0.7), Cnot(2, 1), Rot(AXIS_Z, 1, 0.3)))
+
+
+def test_control_below_the_target_takes_the_general_form():
+    runs = sim._run_plan(CONTROL_BELOW, 2).runs
+    assert [(run.axis, run.batched) for run in runs] == [(0, False), (1, True)]
+
+
 @settings(deadline=None)
 @given(circuits(), st.integers(0, 2**32 - 1))
 @example(Circuit(3), 0)
 @example(Circuit(3, (Cnot(1, 3), Cnot(1, 3), Cnot(2, 3), Cnot(3, 1))), 1)
 @example(OPENING_CNOTS, 2)
+@example(CONTROL_BELOW, 3)
 def test_apply_circuit_matches_per_gate_fold(c, seed):
     x = random_state(c.n, seed)
     fused = apply_circuit(x, c)
@@ -353,8 +365,10 @@ STACK_ORDERS = [
 ]
 
 
-# qubits this wide overflow an int32 key
+# qubits this wide make the block step number the (block, control) pairs
+# it sees; on a register of 2**31 - 1 qubits the stack key needs int64
 WIDE = 2**20
+WIDEST = 2**31 - 1
 EXAMPLES = [
     *STACK_ORDERS,
     Circuit(2, (Cnot(1, 2), Rot(AXIS_Y, 2, 0.25), Rot(AXIS_Y, 2, -0.25), Cnot(1, 2),
@@ -362,6 +376,8 @@ EXAMPLES = [
     Circuit(2, (Cnot(1, 2), Rot(AXIS_Y, 2, 1.0), Rot(AXIS_Y, 2, -0.8), Cnot(1, 2))),
     Circuit(WIDE, (Cnot(WIDE - 1, WIDE), Cnot(WIDE - 1, WIDE), Cnot(WIDE - 1, WIDE),
                    Rot(AXIS_Y, WIDE, 0.5), Rot(AXIS_Y, WIDE, 1e-13))),
+    Circuit(WIDEST, (Cnot(1, WIDEST), Cnot(1, WIDEST), Rot(AXIS_Y, WIDEST, 0.5),
+                     Rot(AXIS_Y, WIDEST, 0.25))),
 ]
 
 
@@ -523,23 +539,25 @@ def test_ladder_strategy_reaches_wide_flips():
     find(ladders(), lambda c: widest_flip(c) >= 3)
 
 
-def layouts(c):
-    """Per run of c's plan, whether it runs on the bit-reversed layout."""
-    return [run.flipped for run in sim._run_plan(c, c.n).runs]
+def batched_forms(c):
+    """Per run of c's plan with rotations, whether it takes the batched form:
+    every control above the target, and a y or z axis."""
+    runs = [run for run in sim._run_plan(c, c.n).runs if run.axis is not None]
+    return [run.batched and 0.0 in (c.axes[run.axis].ay, c.axes[run.axis].az) for run in runs]
 
 
-def test_ladder_strategy_reaches_both_layouts():
-    # the cut ladder on qubit 4 runs bit-reversed and closes with swaps on
-    # qubits 3 and 2 (index bits 1 and 2, reversed to 2 and 1); then the z
-    # rotation on qubit 1 switches back
-    assert [(run.flipped, run.swaps) for run in sim._run_plan(CUT_LADDER, 4).runs] == [
-        (True, (2, 1)),
-        (False, ()),
+def test_cut_ladder_closes_with_swaps_in_natural_bit_order():
+    # the cut ladder on qubit 4 closes with swaps on qubits 3 and 2, index
+    # bits 1 and 2; both its runs have every control above the target
+    assert [(run.batched, run.swaps) for run in sim._run_plan(CUT_LADDER, 4).runs] == [
+        (True, (1, 2)),
+        (True, ()),
     ]
-    find(ladders(), lambda c: any(layouts(c)))
-    find(ladders(), lambda c: len(set(layouts(c))) == 2)
-    find(ladders(), lambda c: any(run.flipped and run.swaps
-                                  for run in sim._run_plan(c, c.n).runs))
+    assert batched_forms(CUT_LADDER) == [True, True]
+
+
+def test_ladder_strategy_reaches_the_general_form():
+    find(ladders(), lambda c: not all(batched_forms(c)))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -551,11 +569,16 @@ def test_synthesized_plans_close_without_swaps(n):
     results = [disentangle(a), prepare(a, b), *(prepare_from_basis(i, b) for i in (0, last))]
     for r in results:
         assert [run.swaps for run in sim._run_plan(r.circuit, n).runs if run.swaps] == []
-    flipped = layouts(results[1].circuit)
-    assert len(flipped) == 4 * n - 1
-    # qubits n down to about n / 2 run bit-reversed, in both halves
-    switches = sum(x != y for x, y in itertools.pairwise([False, *flipped, False]))
-    assert switches == (4 if n > 1 else 0)
+    assert len(sim._run_plan(results[1].circuit, n).runs) == 4 * n - 1
+    # every run with rotations has its controls above its target, also once
+    # pruning has dropped rotations and CNOTs, as it does between product
+    # states, and in the inverse
+    p, q = (make_state(n, functools.reduce(np.kron, [random_state(1, 10 * s + j).amplitudes
+                                                      for j in range(n)])) for s in (n, n + 1))
+    results += [disentangle(p), prepare(p, q), *(prepare_from_basis(i, q) for i in (0, last))]
+    made = [r.circuit for r in results]
+    for c in made + [simplify(c, prune_atol=1e-12) for c in made] + [dagger(c) for c in made]:
+        assert all(batched_forms(c))
 
 
 def count_plans(monkeypatch) -> list:
