@@ -225,6 +225,13 @@ MUTANTS = [
         (SIM + "test_apply_circuit_matches_per_gate_fold",),
     ),
     Mutant(
+        "fused-result-left-in-spare-buffer",
+        "sim.py",
+        "    return flat\n",
+        "    return amps\n",
+        ("tests/test_synth.py::test_prepare_counts_and_fidelity",),
+    ),
+    Mutant(
         "closing-swaps-dropped",
         "sim.py",
         "        for b in swaps:\n",
@@ -254,6 +261,51 @@ MUTANTS = [
         "if not _instances(angles.flat, Real):",
         "if False:",
         (CIRCUIT + "test_ucr_gate_validation",),
+    ),
+    Mutant(
+        "gate-list-columns-unchecked",
+        "circuit.py",
+        "return cls._check(n, cnot, control, target, axis, tuple(index), angle)",
+        "return cls._from_columns(n, control, target, axis, tuple(index), angle)",
+        (CIRCUIT + "test_public_constructor_checks_columns",),
+    ),
+    # copies and pickles rebuild through the constructors
+    Mutant(
+        "circuit-copied-by-default",
+        "circuit.py",
+        """    def __reduce__(self):  # copy, deepcopy and pickle rebuild read-only columns
+        return type(self)._from_columns, tuple(getattr(self, name) for name in self.__slots__)
+""",
+        "",
+        (CIRCUIT + "test_copies_rebuild_through_the_constructors",),
+    ),
+    Mutant(
+        "state-copied-by-default",
+        "state.py",
+        """    def __reduce__(self):
+        # copies and pickles rebuild through __init__, which makes the amplitudes read-only
+        return type(self), (self.n, self.amplitudes)
+""",
+        "",
+        (CIRCUIT + "test_copies_rebuild_through_the_constructors",),
+    ),
+    Mutant(
+        "ucr-gate-copied-by-default",
+        "circuit.py",
+        """    def __reduce__(self):  # copies and pickles rebuild through the checks: read-only angles
+        return type(self), (self.controls, self.target, self.axis, self.angles)
+""",
+        "",
+        (CIRCUIT + "test_copies_rebuild_through_the_constructors",),
+    ),
+    Mutant(
+        "state-attributes-rebindable",
+        "state.py",
+        """    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a StateVector is immutable")
+""",
+        "",
+        (CIRCUIT + "test_copies_rebuild_through_the_constructors",),
     ),
 ]
 

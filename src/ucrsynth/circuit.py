@@ -132,6 +132,9 @@ class UcrGate:
     def k(self) -> int:
         return len(self.controls)
 
+    def __reduce__(self):  # copies and pickles rebuild through the checks: read-only angles
+        return type(self), (self.controls, self.target, self.axis, self.angles)
+
 
 class Circuit:
     """Time-ordered elementary gate list held as parallel numpy columns.
@@ -142,14 +145,15 @@ class Circuit:
     carry axis 0 and angle 0. ``axes`` holds distinct axis values. The
     columns and their owning arrays are read-only; circuits may share columns.
 
-    ``Circuit(n, gates)`` converts and checks gate objects at the boundary.
-    ``gates`` builds fresh gate objects from the columns on every access;
-    ``len`` and the columns cost nothing extra.
+    ``Circuit(n, gates)`` converts and checks gate objects at the boundary
+    and returns the circuit ``_check`` builds. Copies and pickles rebuild
+    through ``_from_columns``, so their columns are read-only too. ``gates``
+    builds fresh gate objects on every access; ``len`` and the columns do not.
     """
 
-    __slots__ = ("n", "control", "target", "axis", "axes", "angle")
+    __slots__ = ("n", "control", "target", "axis", "axes", "angle")  # _from_columns's order
 
-    def __init__(self, n: int, gates: Iterable[Gate] = ()):
+    def __new__(cls, n: int, gates: Iterable[Gate] = ()) -> Circuit:
         gates = tuple(gates)
         cnot = [isinstance(g, Cnot) for g in gates]
         index: dict[Axis, int] = {}
@@ -171,18 +175,12 @@ class Circuit:
                 raise ValueError(f"gate {g} has a non-integer qubit index")
             if rot and not _instances([g.angle], Real):
                 raise ValueError(f"gate {g} has a non-real angle")
-        c = self._check(n, cnot, control, target, axis, tuple(index), angle)
-        self._fill(c.n, c.control, c.target, c.axis, c.axes, c.angle)
+        return cls._check(n, cnot, control, target, axis, tuple(index), angle)
 
     @classmethod
     def _from_columns(cls, n, control, target, axis, axes, angle) -> Circuit:
         """Trusted constructor for columns built inside the package: no check."""
-        c = object.__new__(cls)
-        c._fill(n, control, target, axis, axes, angle)
-        return c
-
-    def _fill(self, n, control, target, axis, axes, angle) -> None:
-        qubit = f"qubit index outside 1..{n}"
+        c, qubit = object.__new__(cls), f"qubit index outside 1..{n}"
         for name, value in (
             ("n", n),
             ("axes", tuple(axes)),
@@ -191,7 +189,11 @@ class Circuit:
             ("axis", _column(axis, np.int32)),
             ("angle", _column(angle, np.float64, "angle beyond the float range")),
         ):
-            object.__setattr__(self, name, value)
+            object.__setattr__(c, name, value)
+        return c
+
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild read-only columns
+        return type(self)._from_columns, tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
         # a rebound column could be a writable array, which a kept run plan

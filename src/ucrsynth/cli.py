@@ -259,6 +259,27 @@ def _digests() -> dict[str, str]:
     return {name: d.hexdigest() for name, d in digests.items()}
 
 
+def _digest_large() -> str:
+    """SHA-256 digest of seeded outputs past ``_digests``' reach: n = 11..16,
+    one Haar pair and one product pair each, seeded like ``_digests``. Each
+    prepare result adds its control, target and axis columns as <i4 bytes,
+    its angles as <f8 bytes, its residual phase by float.hex, and the
+    amplitudes of apply_circuit(a, circuit) as <c16 bytes.
+    """
+    digest = hashlib.sha256()
+    for n in range(11, 17):
+        haar_and_product = (_digest_states(n, 200 * n + side)[::2] for side in (0, 1))
+        for a, b in zip(*haar_and_product):
+            result = prepare(a, b)
+            c = result.circuit
+            for column in (c.control, c.target, c.axis):
+                digest.update(column.astype("<i4").tobytes())
+            digest.update(c.angle.astype("<f8").tobytes())
+            digest.update(float.hex(result.residual_phase).encode())
+            digest.update(apply_circuit(a, c).amplitudes.astype("<c16").tobytes())
+    return digest.hexdigest()
+
+
 def _append_run(path: str, run: dict) -> None:
     """Add one run to the {"runs": [...]} record at path, creating it if absent."""
     doc = {"runs": []}
@@ -317,6 +338,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "cli": {"n": 8, "synth_verify_s": _bench_cli(a8, b8, "--qasm", "c.qasm")},
             "cli_pruned": _bench_pruned(),
             **_digests(),
+            "digest_large": _digest_large(),
         }
         _append_run(args.json, run)
     return EXIT_OK

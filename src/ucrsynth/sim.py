@@ -205,8 +205,9 @@ def _plan(c: Circuit, n_bits: int) -> _Plan:
     return entry[-1]
 
 
-def _apply_fused(amps: np.ndarray, c: Circuit, n_bits: int) -> None:
-    """Run c over amps (2**n_bits entries, qubit q on axis q - 1) run by run.
+def _apply_fused(amps: np.ndarray, c: Circuit, n_bits: int) -> np.ndarray:
+    """Run c over amps (2**n_bits entries, qubit q on axis q - 1) run by run
+    and return the buffer that holds the result: amps or a new one.
 
     Every run's phase table comes out of one bincount, one transform per
     control count and one cos and sin; then each run is one numpy product
@@ -215,7 +216,7 @@ def _apply_fused(amps: np.ndarray, c: Circuit, n_bits: int) -> None:
     spare buffer, which then trades places with the amplitudes.
     """
     if not len(c):
-        return
+        return amps
     plan = _plan(c, n_bits)
     half = 0.5 * np.bincount(plan.bucket, weights=c.angle[plan.rots], minlength=plan.size)
     for k, lo, hi in plan.groups:
@@ -254,8 +255,7 @@ def _apply_fused(amps: np.ndarray, c: Circuit, n_bits: int) -> None:
         # X**parity(p & mask) on the target is one CNOT per control in mask
         for b in swaps:
             _cnot(flat, b, n_bits - 1 - t_axis)
-    if flat is not amps:
-        amps[...] = flat
+    return flat
 
 
 def apply_gate(x: StateVector, g: Gate) -> StateVector:
@@ -277,9 +277,7 @@ def apply_circuit(x: StateVector, c: Circuit) -> StateVector:
     """The circuit applied to a state, gates[0] first; equals the apply_gate fold."""
     if c.n != x.n:
         raise DimensionError(f"circuit is on {c.n} qubits, state on {x.n}")
-    amps = x.amplitudes.copy()
-    _apply_fused(amps, c, x.n)
-    return StateVector(x.n, amps)
+    return StateVector(x.n, _apply_fused(x.amplitudes.copy(), c, x.n))
 
 
 def apply_ucr(x: StateVector, g: UcrGate) -> StateVector:
@@ -322,5 +320,4 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
         raise ValueError(f"n={c.n} exceeds the {MAX_UNITARY_QUBITS}-qubit unitary cap")
     dim = 1 << c.n
     u = np.eye(dim, dtype=np.complex128)
-    _apply_fused(u.reshape(-1), c, 2 * c.n)
-    return u
+    return _apply_fused(u.reshape(-1), c, 2 * c.n).reshape(dim, dim)

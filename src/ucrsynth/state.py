@@ -32,9 +32,16 @@ class StateVector:
 
     def __init__(self, n: int, amplitudes: np.ndarray):
         # Internal constructor; use make_state() for validated input.
-        self.n = n
         amplitudes.setflags(write=False)
-        self.amplitudes = amplitudes
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "amplitudes", amplitudes)
+
+    def __reduce__(self):
+        # copies and pickles rebuild through __init__, which makes the amplitudes read-only
+        return type(self), (self.n, self.amplitudes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a StateVector is immutable")
 
     @property
     def dim(self) -> int:

@@ -1,6 +1,8 @@
+import copy
 import functools
 import itertools
 import math
+import pickle
 import re
 import sys
 from fractions import Fraction
@@ -523,6 +525,70 @@ def test_circuit_attributes_cannot_be_rebound():
         c.control = c.control.copy()
     assert c.control.flags.writeable is False
     assert apply_circuit(x, c).amplitudes.tobytes() == image.tobytes()
+
+
+def copies(x):
+    """x through copy.copy, copy.deepcopy and pickle protocols 2 to 5."""
+    yield copy.copy(x)
+    yield copy.deepcopy(x)
+    for protocol in range(2, 6):
+        yield pickle.loads(pickle.dumps(x, protocol))
+
+
+def assert_read_only(array):
+    assert not array.flags.writeable
+    with pytest.raises(ValueError):  # nor through the array that owns it
+        array.view().flags.writeable = True
+
+
+def test_copies_rebuild_through_the_constructors(monkeypatch):
+    # Python's own copy of a Circuit used to run into its __setattr__ guard,
+    # and left a StateVector's or a UcrGate's array writable
+    from test_sim import count_plans
+    from ucrsynth import disentangle, load_circuit, prepare_from_basis
+
+    results = []
+    for n in range(1, 7):
+        a, b = random_state(n, 2 * n), random_state(n, 2 * n + 1)
+        results += [prepare(a, b), disentangle(a)]
+        results += [prepare_from_basis(i, b) for i in (0, (1 << n) - 1)]
+    # the hand-built circuit the simulator's general form is certified on
+    rng = np.random.default_rng(8)
+    ucrs = [UcrGate((3, 7), 2, Axis(0.6, 0.8), rng.uniform(-3, 3, 4)),
+            UcrGate((8, 5, 1), 4, AXIS_Y, rng.uniform(-3, 3, 8)),
+            UcrGate((6, 1), 3, AXIS_Z, rng.uniform(-3, 3, 4))]
+    hand = [g for u in ucrs for g in lower_ucr(u, 8).gates] + [Cnot(7, 2), Cnot(8, 2)]
+    circuits = [r.circuit for r in results]
+    circuits += [simplify(c, prune_atol=1e-12) for c in circuits] + [dagger(c) for c in circuits]
+    circuits += [load_circuit(dump_circuit(circuits[0]))[0], Circuit(3), Circuit(8, hand)]
+    built = count_plans(monkeypatch)
+    for c in circuits:
+        x = random_state(c.n, len(c))
+        image = apply_circuit(x, c).amplitudes.tobytes()
+        plans = len(built)
+        for twin in copies(c):
+            assert twin == c and twin.axes == c.axes
+            for column in (twin.control, twin.target, twin.axis, twin.angle):
+                assert_read_only(column)
+            assert apply_circuit(x, twin).amplitudes.tobytes() == image
+        assert len(built) == plans  # each copy reached the original's plan
+    for r in results:
+        for twin in copies(r):
+            assert twin == r
+            for column in (twin.circuit.control, twin.circuit.target, twin.circuit.axis,
+                           twin.circuit.angle):
+                assert_read_only(column)
+    x = random_state(3, 1)
+    for state in (x, apply_circuit(x, prepare(x, random_state(3, 2)).circuit)):
+        for twin in copies(state):
+            assert twin.n == state.n and twin.amplitudes.tobytes() == state.amplitudes.tobytes()
+            assert_read_only(twin.amplitudes)
+    for g in ucrs:
+        for twin in copies(g):
+            assert twin == g and np.array_equal(twin.angles, g.angles)
+            assert_read_only(twin.angles)
+    with pytest.raises(AttributeError, match="cannot set 'n': a StateVector is immutable"):
+        x.n = 7
 
 
 def structured_states(n):
