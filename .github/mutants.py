@@ -197,23 +197,44 @@ MUTANTS = [
     ),
     # the fused simulator
     Mutant(
-        "batched-y-matrix-signs-swapped",
+        "batched-y-rows-swapped",
         "sim.py",
-        "np.stack((cos_h, ys, -ys, cos_h), axis=1)",
-        "np.stack((cos_h, -ys, ys, cos_h), axis=1)",
+        "np.stack((f, 1j * f), axis=1)",
+        "np.stack((1j * f, f), axis=1)",
         (SIM + "test_apply_circuit_matches_per_gate_fold",),
     ),
     Mutant(
         "batched-z-diagonal-unconjugated",
         "sim.py",
-        "np.stack((r00, r00.conj()), axis=1)",
-        "np.stack((r00, r00), axis=1)",
+        "np.stack((f, f.conj()), axis=1)",
+        "np.stack((f, f), axis=1)",
         (SIM + "test_apply_circuit_matches_per_gate_fold",),
+    ),
+    Mutant(
+        "phase-table-at-half-scale",
+        "sim.py",
+        "quarter = 0.25 * np.bincount(",
+        "quarter = 0.5 * np.bincount(",
+        (SIM + "test_phase_table_matches_cos_and_sin", SIM + "test_apply_circuit_matches_per_gate_fold"),
+    ),
+    Mutant(
+        "phase-table-cos-unshifted",
+        "sim.py",
+        "parts[:, 0] = d - 1.0",
+        "parts[:, 0] = d",
+        (SIM + "test_phase_table_matches_cos_and_sin", SIM + "test_apply_circuit_matches_per_gate_fold"),
+    ),
+    Mutant(
+        "near-unit-axis-batched",
+        "sim.py",
+        "and abs(unit) == 1.0:",
+        "and True:",
+        (SIM + "test_near_unit_axis_takes_the_general_form",),
     ),
     Mutant(
         "batched-y-buffers-not-swapped",
         "sim.py",
-        "                flat, spare = spare, flat\n",
+        "                    flat, spare = spare, flat\n",
         "",
         (SIM + "test_apply_circuit_matches_per_gate_fold",),
     ),

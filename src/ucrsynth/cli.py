@@ -28,7 +28,7 @@ import numpy as np
 from .circuit import Circuit, gate_counts, simplify
 from .errors import DimensionError, ExportError, ParseError
 from .formats import dump_circuit, dump_state, export_qasm, load_circuit, load_state
-from .sim import _plan, apply_circuit
+from .sim import _phase_table, _plan, apply_circuit
 from .state import StateVector, make_state, random_state, wrap_angle
 from .synth import SynthesisResult, disentangle, prepare, prepare_from_basis
 
@@ -323,7 +323,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             row["prepare_from_basis_s"] = pfb
             circuit = result.circuit
             row["apply_circuit_s"] = _best_of(BENCH_REPEATS, lambda: apply_circuit(a, circuit))
-            runs = _plan(circuit, n).runs
+            plan = _plan(circuit, n)
+            row["sim_table_s"] = _best_of(BENCH_REPEATS, lambda: _phase_table(circuit, plan))
+            runs = plan.runs
             row["sim_runs"] = len(runs)
             row["sim_swaps"] = sum(len(run.swaps) for run in runs)
             rows.append(row)
@@ -394,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         metavar="PATH",
         help="append a run (machine, counts against the bounds, best-of-5 times of prepare, "
-        "prepare_from_basis and apply_circuit per n, of CLI synth plus verify at n = 8 and "
-        "of a pruned synth plus verify at n = 12, and SHA-256 digests of seeded results, "
-        "pruned circuits and simulated states) to the record at PATH",
+        "prepare_from_basis, apply_circuit and its phase table alone per n, of CLI synth "
+        "plus verify at n = 8 and of a pruned synth plus verify at n = 12, and SHA-256 "
+        "digests of seeded results, pruned circuits and simulated states) to the record at PATH",
     )
     bench.add_argument("--label", default=None, help="name of the run in the --json record")
     return parser

@@ -25,28 +25,36 @@ Each z/y UCR pair of a synthesized cascade shares its target and controls
 and its mask cancels over the pair, so no run of a synthesized circuit
 closes with swaps. A mask that is left is one CNOT swap per control.
 
-A UCR is block-diagonal, one 2x2 rotation per control pattern. A run whose
-controls all sit above its target (every run of a synthesized circuit)
-views the amplitudes as (pattern axes..., 2, rest) and is one numpy call:
-a y run one ``np.matmul`` of its per-pattern real matrices
-[[c, ay s], [-ay s, c]] with the float64 view of the amplitudes, written
-into a spare buffer that then trades places with them, and a z run one
-in-place multiply by its per-pattern diagonal (c + i az s, c - i az s).
-Any other run, with a control below its target or about a general y-z
-axis, takes the general form: one in-place pass over the amplitude pairs.
+A UCR is block-diagonal, one 2x2 rotation per control pattern, and every
+run reads its 2x2 from one phase table e = exp(i phi / 2) = c + i s. A run
+whose controls all sit above its target (every run of a synthesized
+circuit) and whose axis is exactly +-y or +-z views the amplitudes as
+(pattern axes..., 2, rest) and is one numpy call, with f = e about +y or
++z and f = conj(e) about -y or -z: a y run one ``np.matmul`` of its
+per-pattern real matrices [[c, ay s], [-ay s, c]], whose rows are the
+float pairs of f and i f, with the float64 view of the amplitudes,
+written into a spare buffer that then trades places with them, and a z
+run one in-place multiply by its per-pattern diagonal (f, conj(f)). Any
+other run, with a control below its target or about any other y-z axis,
+near-unit ones such as (1 - 4e-13, 0) that AXIS_ATOL admits included,
+takes the general form with c = e.real and s = e.imag: one in-place pass
+over the amplitude pairs.
 
 Only the angles change between results of one gate layout, so a pass has
 two steps. ``_run_plan`` reads the control, target and axis columns and
 returns the runs, each with its form, closing swaps and phase-table
 shape, and every rotation's slot in one phase table, where the runs are
-stacked by control count k. A call then bins all angles with one bincount,
-transforms each k's stack once and takes one cos and one sin; per run it
-makes only its one product or pass and the swaps.
+stacked by control count k. A call then builds the table (``_phase_table``):
+one bincount bins all angles at quarter scale, one transform per k's stack
+gives phi / 4, and one tan t = tan(phi / 4) gives c = 2 / (1 + t**2) - 1
+and s = 2 t / (1 + t**2); per run it makes only its one product or pass
+and the swaps.
 Every circuit reaches its plan through one cache of the 16 most recently
 used, keyed by n_bits and the three columns, so the results of a skeleton
 and pruned or loaded circuits with equal columns share one plan. A plan
-holds 8 B per rotation (2.1 MB for a prepare circuit at n = 16); an entry
-whose columns no skeleton shares keeps them too, 12 B a row (6.3 MB).
+holds 16 B per rotation, its slot and row as intp (4.2 MB for a prepare
+circuit at n = 16, 262 kB at n = 12); an entry whose columns no skeleton
+shares keeps them too, 12 B a row (6.3 MB).
 ``apply_gate`` applies one gate by its 2x2 matrix and is the per-gate
 oracle the fused pass is tested against.
 """
@@ -105,7 +113,7 @@ class _Run(NamedTuple):
     axis: int | None  # index into the circuit's axes, None without rotations
     slots: slice | None  # its phase table, None without rotations
     shape: tuple[int, ...]  # its phase table's shape on the axes other than the target's
-    batched: bool  # every control is above the target: y and z runs take the batched form
+    batched: bool  # every control is above the target: exact +-y and +-z runs take the batched form
     swaps: tuple[int, ...]  # flat index bit of each control of its closing CNOTs
 
 
@@ -158,7 +166,7 @@ def _run_plan(c: Circuit, n_bits: int) -> _Plan:
             size += 1 << kj
         groups.append((kj, begin, size))
     masks = mask[rots]
-    bucket = np.empty(rots.size, dtype=np.int32)
+    bucket = np.empty(rots.size, dtype=np.intp)
     targets = c.target[starts].tolist()
     runs, applied = [], 0
     for j, (t, start, end) in enumerate(zip(targets, bounds, bounds[1:])):
@@ -189,7 +197,7 @@ def _run_plan(c: Circuit, n_bits: int) -> _Plan:
         slots = slice(first[j], first[j] + (1 << k[j]))
         batched = all(ax < t_axis for ax in axes)
         runs.append(_Run(t_axis, int(c.axis[rots[start]]), slots, tuple(shape), batched, swaps))
-    return _Plan(rots.astype(np.int32), bucket, size, tuple(groups), tuple(runs))
+    return _Plan(rots, bucket, size, tuple(groups), tuple(runs))
 
 
 _PLAN_CACHE_SIZE = 16  # run plans kept; see the module docstring
@@ -205,43 +213,64 @@ def _plan(c: Circuit, n_bits: int) -> _Plan:
     return entry[-1]
 
 
+def _phase_table(c: Circuit, plan: _Plan) -> np.ndarray:
+    """exp(i phi / 2) for every slot of plan's phase table, phi the slot's
+    rotation angle, from c's angles.
+
+    One bincount bins the angles at quarter scale and one transform per
+    control count turns the table into phi / 4; then t = tan(phi / 4) gives
+    cos(phi / 2) = 2 / (1 + t**2) - 1 and sin(phi / 2) = 2 t / (1 + t**2),
+    written as the real and imaginary parts of one complex array. Scaling
+    by a power of two commutes exactly with the +-1 sums of the transform.
+    """
+    quarter = 0.25 * np.bincount(plan.bucket, weights=c.angle[plan.rots], minlength=plan.size)
+    for k, lo, hi in plan.groups:
+        quarter[lo:hi] = _fwht(quarter[lo:hi].reshape(-1, 1 << k)).reshape(-1)
+    t = np.tan(quarter, out=quarter)
+    d = 2.0 / (1.0 + t * t)
+    e = np.empty(plan.size, dtype=np.complex128)
+    parts = e.view(np.float64).reshape(-1, 2)
+    parts[:, 0] = d - 1.0
+    np.multiply(t, d, out=parts[:, 1])
+    return e
+
+
 def _apply_fused(amps: np.ndarray, c: Circuit, n_bits: int) -> np.ndarray:
     """Run c over amps (2**n_bits entries, qubit q on axis q - 1) run by run
     and return the buffer that holds the result: amps or a new one.
 
-    Every run's phase table comes out of one bincount, one transform per
-    control count and one cos and sin; then each run is one numpy product
-    in the batched form, or one in-place pass over the amplitude pairs in
-    the general form, and its closing swaps. A batched y run writes into a
-    spare buffer, which then trades places with the amplitudes.
+    Every run reads its 2x2 from one phase table of exp(i phi / 2); then
+    each run is one numpy product in the batched form, or one in-place pass
+    over the amplitude pairs in the general form, and its closing swaps. A
+    batched y run writes into a spare buffer, which then trades places with
+    the amplitudes.
     """
     if not len(c):
         return amps
     plan = _plan(c, n_bits)
-    half = 0.5 * np.bincount(plan.bucket, weights=c.angle[plan.rots], minlength=plan.size)
-    for k, lo, hi in plan.groups:
-        half[lo:hi] = _fwht(half[lo:hi].reshape(-1, 1 << k)).reshape(-1)
-    cos, sin = np.cos(half), np.sin(half)
+    e = _phase_table(c, plan)
     flat, spare = amps, np.empty_like(amps)
     for t_axis, a, slots, shape, batched, swaps in plan.runs:
         if a is not None:
-            cos_h, sin_h = cos[slots], sin[slots]
             axis = c.axes[a]
-            # batched: (pattern axes..., 2, rest) with one 2x2 matrix per pattern
-            pattern, cut = shape[:t_axis], (2,) * t_axis + (2, -1)
-            if batched and not axis.az:
-                ys = axis.ay * sin_h
-                m = np.stack((cos_h, ys, -ys, cos_h), axis=1).reshape(pattern + (2, 2))
-                # real matrices act on the real and imaginary parts alike
-                np.matmul(m, flat.view(np.float64).reshape(cut),
-                          out=spare.view(np.float64).reshape(cut))
-                flat, spare = spare, flat
-            elif batched and not axis.ay:
-                r00 = cos_h + 1j * (axis.az * sin_h)
-                view = flat.reshape(cut)
-                view *= np.stack((r00, r00.conj()), axis=1).reshape(pattern + (2, 1))
+            unit = axis.ay + axis.az
+            if batched and 0.0 in (axis.ay, axis.az) and abs(unit) == 1.0:  # exactly +-y or +-z
+                # f = c + i s about +y or +z, c - i s about -y or -z
+                f = e[slots] if unit > 0.0 else e[slots].conj()
+                # (pattern axes..., 2, rest) with one 2x2 matrix per pattern
+                pattern, cut = shape[:t_axis], (2,) * t_axis + (2, -1)
+                if axis.ay:
+                    # rows (c, ay s) and (-ay s, c) are the float pairs of f and i f;
+                    # real matrices act on the real and imaginary parts alike
+                    m = np.stack((f, 1j * f), axis=1).view(np.float64).reshape(pattern + (2, 2))
+                    np.matmul(m, flat.view(np.float64).reshape(cut),
+                              out=spare.view(np.float64).reshape(cut))
+                    flat, spare = spare, flat
+                else:
+                    view = flat.reshape(cut)
+                    view *= np.stack((f, f.conj()), axis=1).reshape(pattern + (2, 1))
             else:  # the general form: one in-place pass over the amplitude pairs
-                cos_h, sin_h = cos_h.reshape(shape), sin_h.reshape(shape)
+                cos_h, sin_h = e.real[slots].reshape(shape), e.imag[slots].reshape(shape)
                 view = flat.reshape((2,) * n_bits)
                 lead = (slice(None),) * t_axis
                 a0, a1 = view[lead + (0, ...)], view[lead + (1, ...)]

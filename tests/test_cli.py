@@ -354,6 +354,7 @@ def test_bench_json_record(tmp_path, capsys):
     assert (n4["n"], n4["cnot"], n4["rot"], n4["cnot_up"], n4["rot_up"]) == (4, 44, 59, 44, 59)
     assert n4["prepare_s"] > 0 and n4["apply_circuit_s"] > 0
     assert all(row["prepare_from_basis_s"] > 0 for run in runs for row in run["rows"])
+    assert all(row["sim_table_s"] > 0 for run in runs for row in run["rows"])
     # the simulator's plan of each prepare circuit: one run per UCR, the two
     # y rotations on qubit 1 merged, and every closing swap folded away
     for run in runs:

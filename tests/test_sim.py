@@ -35,6 +35,7 @@ from ucrsynth import (
     random_state,
     simplify,
 )
+from ucrsynth.gray import _fwht
 from test_circuit import random_circuit, simplify_gates
 
 
@@ -255,16 +256,75 @@ def test_control_below_the_target_takes_the_general_form():
     assert [(run.axis, run.batched) for run in runs] == [(0, False), (1, True)]
 
 
+# UCR ladders about -y, -z and a y axis 4e-13 short of unit length, which
+# AXIS_ATOL admits and which takes the general form; the first three
+# pattern angles put phi / 4 on tan's poles
+POLES = [2.0 * math.pi, -2.0 * math.pi, 6.0 * math.pi, 0.5]
+NEAR_Y = Axis(1 - 4e-13, 0.0)
+MINUS_Y, MINUS_Z, NEAR_UNIT = (
+    Circuit(3, lower_ucr(UcrGate((1, 2), 3, axis, POLES), 3).gates)
+    for axis in (Axis(-1.0, 0.0), Axis(0.0, -1.0), NEAR_Y)
+)
+
+
 @settings(deadline=None)
 @given(circuits(), st.integers(0, 2**32 - 1))
 @example(Circuit(3), 0)
 @example(Circuit(3, (Cnot(1, 3), Cnot(1, 3), Cnot(2, 3), Cnot(3, 1))), 1)
 @example(OPENING_CNOTS, 2)
 @example(CONTROL_BELOW, 3)
+@example(MINUS_Y, 4)
+@example(MINUS_Z, 5)
+@example(NEAR_UNIT, 6)
 def test_apply_circuit_matches_per_gate_fold(c, seed):
     x = random_state(c.n, seed)
     fused = apply_circuit(x, c)
     assert np.abs(fused.amplitudes - fold(x, c).amplitudes).max() <= 1e-12
+
+
+def test_near_unit_axis_takes_the_general_form():
+    # taken as exact y, the axis would slip the amplitudes by about 4e-13,
+    # which the fold tolerance above cannot see. One rotation per run: a
+    # run sums its angles, which is exact only about a unit axis, and
+    # NEAR_UNIT's fold sits 6e-13 from its fused image
+    c = Circuit(3, (Rot(NEAR_Y, 1, 1.0), Rot(NEAR_Y, 2, 2.0 * math.pi), Rot(NEAR_Y, 3, -2.5)))
+    assert batched_forms(c) == batched_forms(NEAR_UNIT) * 3 == [False] * 3
+    for seed in range(4):
+        x = random_state(3, seed)
+        assert np.abs(apply_circuit(x, c).amplitudes - fold(x, c).amplitudes).max() <= 1e-14
+
+
+def half_angle_table(c, plan):
+    """The transformed half-angles phi / 2 of plan's phase table, by the
+    bincount and per-k transform the simulator uses."""
+    half = 0.5 * np.bincount(plan.bucket, weights=c.angle[plan.rots], minlength=plan.size)
+    for k, lo, hi in plan.groups:
+        half[lo:hi] = _fwht(half[lo:hi].reshape(-1, 1 << k)).reshape(-1)
+    return half
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6))
+@example([0.0])
+@example([-0.0])
+@example([5e-324])
+@example([1e-300])
+@example([2.0 * math.pi])
+@example([1e15])
+@example([1e300])
+@example([-1e300, 1e300, 2.0 * math.pi])
+def test_phase_table_matches_cos_and_sin(angles):
+    # a lone rotation per angle, each its own run with one slot, then a
+    # one-control UCR ladder of the first two, whose slots are transformed
+    alphas = (angles * 2)[:2]
+    c = Circuit(2, tuple(Rot(AXIS_Y, 1 + i % 2, a) for i, a in enumerate(angles))
+                + lower_ucr(UcrGate((1,), 2, AXIS_Z, alphas), 2).gates)
+    plan = sim._run_plan(c, 2)
+    half = half_angle_table(c, plan)
+    e = sim._phase_table(c, plan)
+    assert e.dtype == np.complex128 and e.shape == half.shape
+    assert np.abs(e.real - np.cos(half)).max() <= 1e-15
+    assert np.abs(e.imag - np.sin(half)).max() <= 1e-15
 
 
 @settings(deadline=None)
@@ -541,9 +601,10 @@ def test_ladder_strategy_reaches_wide_flips():
 
 def batched_forms(c):
     """Per run of c's plan with rotations, whether it takes the batched form:
-    every control above the target, and a y or z axis."""
+    every control above the target, and an axis of exactly +-y or +-z."""
     runs = [run for run in sim._run_plan(c, c.n).runs if run.axis is not None]
-    return [run.batched and 0.0 in (c.axes[run.axis].ay, c.axes[run.axis].az) for run in runs]
+    exact = {Axis(1.0, 0.0), Axis(-1.0, 0.0), Axis(0.0, 1.0), Axis(0.0, -1.0)}
+    return [run.batched and c.axes[run.axis] in exact for run in runs]
 
 
 def test_cut_ladder_closes_with_swaps_in_natural_bit_order():
